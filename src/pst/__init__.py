@@ -57,10 +57,10 @@ from .psa import (
     PsaConfig,
     PsaParams,
     TopKSelection,
+    attention,
     coarse_attention,
     dense_cross_attention,
     fine_attention,
-    key_scores,
     psa_forward,
     psa_stack_forward,
     select_fine_indices,

@@ -15,6 +15,7 @@ without re-recording raises :class:`~pst.errors.ContractError`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -51,7 +52,7 @@ class _Node:
     op: str
     inputs: tuple[Optional[int], ...]
     out: int
-    bwd: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]
+    bwd: Optional[Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]]
 
 
 class Tape:
@@ -104,10 +105,13 @@ class Tape:
         grads: dict[int, np.ndarray] = {loss.vid: np.ones_like(loss_value)}
         for node in reversed(self._nodes):
             self.nodes_visited += 1
+            # Dropping each rule breaks the cycle rule -> Var -> tape, so a
+            # consumed tape's arrays are freed as soon as its Vars are.
+            bwd, node.bwd = node.bwd, None
             upstream = grads.pop(node.out, None)
             if upstream is None:
                 continue
-            for vid, g in zip(node.inputs, node.bwd(upstream)):
+            for vid, g in zip(node.inputs, bwd(upstream)):
                 if vid is None or g is None:
                     continue
                 if vid in grads:
@@ -236,6 +240,41 @@ def softmax_rows(x):
         return (y * (up - dot),)
 
     return tape._emit("softmax_rows", (x,), y, bwd)
+
+
+def attention(q, k, v, heads: int, weights: Optional[np.ndarray] = None):
+    """Fused multi-head attention. Returns ``(out, key_scores)``.
+
+    The key scores are constants under differentiation and come back as a
+    plain array even when ``out`` is recorded. A recorded pass keeps the
+    post-softmax weights for its backward rule, in ``weights`` when given.
+    """
+    qv, kv, vv = _val(q), _val(k), _val(v)
+    tape = _tape_of(q, k, v)
+    if tape is not None and weights is None:
+        weights = ops.attention_weights_buffer(qv, kv, heads)
+    out, scores = ops.attention(qv, kv, vv, heads, weights)
+    if tape is None:
+        return out, scores
+    scale = out.dtype.type(1.0 / math.sqrt(qv.shape[1] // heads))
+
+    def bwd(up):
+        d_out = ops.split_heads(up, heads)
+        gq = gk = gv = None
+        if isinstance(v, Var):
+            gv = ops.merge_heads(np.matmul(weights.transpose(0, 2, 1), d_out))
+        if isinstance(q, Var) or isinstance(k, Var):
+            d_weights = np.matmul(d_out, ops.split_heads(vv, heads).transpose(0, 2, 1))
+            dot = (d_out * ops.split_heads(out, heads)).sum(axis=2, keepdims=True)
+            d_logits = weights * (d_weights - dot) * scale
+            if isinstance(q, Var):
+                gq = ops.merge_heads(np.matmul(d_logits, ops.split_heads(kv, heads)))
+            if isinstance(k, Var):
+                gk = ops.merge_heads(
+                    np.matmul(d_logits.transpose(0, 2, 1), ops.split_heads(qv, heads)))
+        return gq, gk, gv
+
+    return tape._emit("attention", (q, k, v), out, bwd), scores
 
 
 def conv1x1(x, w):
@@ -626,6 +665,7 @@ def cross_entropy(logits, label: int):
 _RECORDABLE = {
     "matmul": matmul,
     "softmax_rows": softmax_rows,
+    "attention": attention,
     "conv1x1": conv1x1,
     "depthwise_conv7x7": depthwise_conv7x7,
     "batch_norm": batch_norm,

@@ -79,7 +79,7 @@ def mac_breakdown(n: int, k: int, token_dim: int, fine_enabled: bool) -> dict:
         "output_projection": n * d * d,
     }
     if fine_enabled and k > 0:
-        macs["fine_kv_projection"] = 2 * n * d * d
+        macs["fine_kv_projection"] = 2 * min(4 * k, n) * d * d
         macs["fine_attention"] = 2 * fine_pairs * d
     macs["total"] = sum(macs.values())
     return macs

@@ -29,7 +29,8 @@ class StateCorruptionError(RuntimeError):
 
 
 class NumericError(ArithmeticError):
-    """An operation produced non-finite values from finite inputs."""
+    """A non-finite value reached a block input, or an operation produced
+    non-finite values from finite inputs."""
 
 
 class FormatError(ValueError):

@@ -10,8 +10,18 @@ stage owns no weights of its own). A depthwise-convolution positional term
 computed from the values joins the two attention outputs before the output
 projection and normalization.
 
+Both stages, the plain-array, taped and diagnostic paths, and
+``dense_cross_attention`` run one attention core, :func:`attention`. It folds
+the ``1/sqrt(d_head)`` scale into the queries, runs all heads as batched
+matmuls, and walks the queries in row tiles of a fixed number of logits, so
+the full N x M logits never exist at once. Each tile is exponentiated in
+place, and its column sums go into a float64 accumulator that yields the key
+scores. The [heads, N, M] weights are built only when diagnostics ask for
+them. On the tape the core is one ``attention`` op with its own backward rule.
+
 The fine stage is an inference-time refinement: training runs with it
-disabled, and enabling it afterwards changes no parameter bytes.
+disabled, and enabling it afterwards changes no parameter bytes. Non-finite
+input maps raise :class:`~pst.errors.NumericError` at the block boundary.
 """
 
 from __future__ import annotations
@@ -218,48 +228,25 @@ def project_qkv(x_tokens, u_tokens, p: PsaParams):
     return _project(x_tokens, p.wq), _project(u_tokens, p.wk), _project(u_tokens, p.wv)
 
 
-def _attention(q, keys, vals, heads: int, collect_weights: bool = False):
-    """Scaled dot-product attention over contiguous head blocks.
+def attention(q, keys, vals, heads: int, weights: Optional[np.ndarray] = None):
+    """The attention core every stage runs: ``(out, key_scores)``.
 
-    Returns the concatenated per-head outputs and, when asked, the list of
-    per-head post-softmax weight matrices. One query-key pair counts as one
-    interaction regardless of head count.
+    One fused, query-row-tiled kernel over all heads (see
+    :func:`pst.tensor_ops.attention`); recorded on the tape as a single
+    ``attention`` op. ``weights``, when given, receives the [heads, N, M]
+    post-softmax weights. One query-key pair counts as one interaction
+    regardless of head count.
     """
-    n, dim = _val(q).shape
-    rows = _val(keys).shape[0]
-    d_head = dim // heads
-    _note_interactions(n * rows)
-    outs = []
-    weights = []
-    for h in range(heads):
-        lo, hi = h * d_head, (h + 1) * d_head
-        qs = ad.col_slice(q, lo, hi)
-        ks = ad.col_slice(keys, lo, hi)
-        vs = ad.col_slice(vals, lo, hi)
-        logits = ad.scalar_affine(ad.matmul(qs, ad.transpose(ks)), 1.0 / np.sqrt(d_head))
-        att = ad.softmax_rows(logits)
-        outs.append(ad.matmul(att, vs))
-        if collect_weights:
-            weights.append(att)
-    out = outs[0] if heads == 1 else ad.concat_cols(outs)
-    return out, weights
+    _note_interactions(_val(q).shape[0] * _val(keys).shape[0])
+    return ad.attention(q, keys, vals, heads, weights)
 
 
 def coarse_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int):
-    """Dense cross-attention stage. Returns the output and the stacked
-    post-softmax weights with shape [heads, N, M]."""
-    out, weights = _attention(q, k, v, heads, collect_weights=True)
-    return out, np.stack([_val(w) for w in weights])
-
-
-def key_scores(attention: np.ndarray) -> np.ndarray:
-    """Mean attention weight per coarse key, over heads and queries jointly.
-
-    The scores of a softmax-normalized attention stack sum to one.
-    """
-    if attention.ndim != 3:
-        raise DimensionError(f"key_scores expects [heads, N, M] weights, got {attention.shape}")
-    return attention.mean(axis=(0, 1))
+    """Dense cross-attention stage. Returns the output and the post-softmax
+    weights with shape [heads, N, M]."""
+    weights = ops.attention_weights_buffer(q, k, heads)
+    out, _ = attention(q, k, v, heads, weights)
+    return out, weights
 
 
 def select_fine_indices(scores: np.ndarray, cfg: PsaConfig,
@@ -286,11 +273,8 @@ def select_fine_indices(scores: np.ndarray, cfg: PsaConfig,
 
 
 def _fine_attention(q, x_tokens, wk, wv, selection: TopKSelection, heads: int):
-    k_all = _project(x_tokens, wk)
-    v_all = _project(x_tokens, wv)
-    k_sel = ad.gather_rows(k_all, selection.fine_indices)
-    v_sel = ad.gather_rows(v_all, selection.fine_indices)
-    out, _ = _attention(q, k_sel, v_sel, heads)
+    x_sel = ad.gather_rows(x_tokens, selection.fine_indices)
+    out, _ = attention(q, _project(x_sel, wk), _project(x_sel, wv), heads)
     return out
 
 
@@ -308,7 +292,7 @@ def fine_attention(q, x_tokens, p: PsaParams, selection: TopKSelection, heads: i
 
 def dense_cross_attention(q: np.ndarray, keys: np.ndarray, vals: np.ndarray, heads: int) -> np.ndarray:
     """Full attention over every key. Reference path and benchmark baseline."""
-    out, _ = _attention(q, keys, vals, heads)
+    out, _ = attention(q, keys, vals, heads)
     return _val(out)
 
 
@@ -348,6 +332,7 @@ def _check_pair(x_map, u_map, token_dim: int):
         raise DimensionError(f"fine map {xs} is not the 2x refinement of coarse map {us}")
     if xs[1] % 2 or xs[2] % 2:
         raise DimensionError(f"fine extents must be even, got {xs}")
+    ops.require_finite(_val(x_map), _val(u_map))
 
 
 def _psa_tail_batch(qs: list, ks: list, vs: list, x_tokens_list: list,
@@ -363,27 +348,26 @@ def _psa_tail_batch(qs: list, ks: list, vs: list, x_tokens_list: list,
     h, w = fine_dims
     coarse_dims = (h // 2, w // 2)
     want_fine = cfg.fine_enabled and cfg.k > 0
-    need_scores = want_fine or any(d is not None for d in diagnostics_list or [])
-    if need_scores and _tape_of(*qs, *ks, *vs) is not None:
+    diagnostics_list = diagnostics_list or [None] * len(qs)
+    if ((want_fine or any(d is not None for d in diagnostics_list))
+            and _tape_of(*qs, *ks, *vs) is not None):
         raise ContractError(
             "fine attention and score diagnostics are inference-only; "
             "record training passes with fine_enabled=False")
 
     outs_coarse, outs_fine = [], []
-    for i, (q, k, v) in enumerate(zip(qs, ks, vs)):
-        out_coarse, weight_list = _attention(q, k, v, cfg.heads, collect_weights=need_scores)
+    for q, k, v, x_tokens, diagnostics in zip(qs, ks, vs, x_tokens_list, diagnostics_list):
+        weights = (None if diagnostics is None
+                   else ops.attention_weights_buffer(_val(q), _val(k), cfg.heads))
+        out_coarse, scores = attention(q, k, v, cfg.heads, weights)
         out_fine = None
-        if need_scores:
-            attention = np.stack([_val(wt) for wt in weight_list])
-            scores = key_scores(attention)
+        if want_fine or diagnostics is not None:
             selection = select_fine_indices(scores, cfg, coarse_dims)
-            if diagnostics_list is not None and diagnostics_list[i] is not None:
-                diagnostics_list[i]["attention"] = attention
-                diagnostics_list[i]["key_scores"] = scores
-                diagnostics_list[i]["selection"] = selection
+            if diagnostics is not None:
+                diagnostics.update(attention=weights, key_scores=scores, selection=selection)
             if want_fine and selection.fine_indices.size:
                 out_fine = _fine_attention(
-                    q, x_tokens_list[i], shared_wk, shared_wv, selection, cfg.heads)
+                    q, x_tokens, shared_wk, shared_wv, selection, cfg.heads)
         outs_coarse.append(out_coarse)
         outs_fine.append(out_fine)
 
@@ -417,6 +401,7 @@ def psa_forward(x_map, u_map, p: PsaParams, cfg: PsaConfig, *,
 
     Returns a [token_dim, H, W] map at the fine resolution. ``diagnostics``,
     when given, receives the attention stack, key scores, and selection.
+    A non-finite value in either map raises :class:`NumericError`.
     """
     _check_pair(x_map, u_map, cfg.token_dim)
     h, w = _val(x_map).shape[1:]

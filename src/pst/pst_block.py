@@ -18,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
+from . import tensor_ops as ops
 from .errors import AccountingError, ContractError, DimensionError
 from .params import BatchNormState, kaiming, named_arrays
 from .psa import (
@@ -103,7 +104,8 @@ def pst_forward(x_raw, u_raw, p: PstParams, cfg: PstConfig, *,
                 diagnostics: Optional[dict] = None):
     """Fuse a raw fine map with its raw 2x coarser partner.
 
-    Returns a ``[2 * token_dim, H, W]`` map at the fine resolution.
+    Returns a ``[2 * token_dim, H, W]`` map at the fine resolution. A
+    non-finite value in either input raises :class:`NumericError`.
     """
     xs = ad._val(x_raw).shape
     us = ad._val(u_raw).shape
@@ -116,6 +118,7 @@ def pst_forward(x_raw, u_raw, p: PstParams, cfg: PstConfig, *,
     if cfg.psa.stack_depth != 1:
         raise ContractError("the fusion block runs a single attention stage; "
                             "stacking is a standalone ablation")
+    ops.require_finite(ad._val(x_raw), ad._val(u_raw))
 
     x = normalize_map(ad.conv1x1(x_raw, p.in_conv_x), p.bn_x, bn_mode, stat_sink)
     u = normalize_map(ad.conv1x1(u_raw, p.in_conv_u), p.bn_u, bn_mode, stat_sink)
@@ -143,6 +146,7 @@ def pst_forward_batch(x_raws: list, u_raws: list, p: PstParams, cfg: PstConfig, 
             raise DimensionError(f"coarse input {us} does not carry {cfg.coarse_channels} channels")
         if xs[1] != 2 * us[1] or xs[2] != 2 * us[2]:
             raise DimensionError(f"fine map {xs} is not the 2x refinement of coarse map {us}")
+        ops.require_finite(ad._val(x_raw), ad._val(u_raw))
     if cfg.psa.stack_depth != 1:
         raise ContractError("the fusion block runs a single attention stage; "
                             "stacking is a standalone ablation")

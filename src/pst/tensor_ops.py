@@ -13,6 +13,8 @@ happens in the dtype of the inputs (float32 or float64).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import (
@@ -37,6 +39,13 @@ def _checked(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def require_finite(*arrays: np.ndarray) -> None:
+    """Raise :class:`NumericError` unless every array holds only finite values."""
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise NumericError(f"input of shape {a.shape} holds non-finite values")
+
+
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product of two rank-2 arrays."""
     if a.ndim != 2 or b.ndim != 2:
@@ -53,6 +62,88 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     shifted = x - x.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return _checked(e / e.sum(axis=1, keepdims=True))
+
+
+def split_heads(t: np.ndarray, heads: int) -> np.ndarray:
+    """View a [L, heads*d_head] token matrix as [heads, L, d_head]; no copy."""
+    if heads == 1:
+        return t[None]
+    rows, dim = t.shape
+    return t.reshape(rows, heads, dim // heads).transpose(1, 0, 2)
+
+
+def merge_heads(t: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`split_heads`: [heads, L, d_head] to [L, heads*d_head].
+    Copies only when there is more than one head."""
+    heads, rows, d_head = t.shape
+    if heads == 1:
+        return t[0]
+    return t.transpose(1, 0, 2).reshape(rows, heads * d_head)
+
+
+# Logits held at once by one query-row tile of :func:`attention`, over all
+# heads: 4 MiB of float32, where the full logits of one head at 16384 fine
+# tokens take 256 MiB. A fixed size, not a knob.
+ATTENTION_TILE_LOGITS = 1 << 20
+
+
+def attention_weights_buffer(q: np.ndarray, k: np.ndarray, heads: int) -> np.ndarray:
+    """An uninitialized [heads, N, M] array for :func:`attention` to fill."""
+    return np.empty((heads, q.shape[0], k.shape[0]), dtype=np.result_type(q, k))
+
+
+def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
+              weights: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Multi-head scaled dot-product attention and its key scores.
+
+    ``q`` is [N, d], ``k`` and ``v`` are [M, d]; head ``h`` owns columns
+    ``h*d/heads`` to ``(h+1)*d/heads``. Returns ``(out, scores)``: ``out`` is
+    [N, d]; ``scores`` is the float64 [M] mean post-softmax weight of each key
+    over heads and queries, which sums to one.
+
+    The scale ``1/sqrt(d_head)`` is folded into the queries, and all heads run
+    as one batched matmul. Queries are walked in row tiles of about
+    ``ATTENTION_TILE_LOGITS`` logits; every tile sees every key, so its softmax
+    is exact. A tile is exponentiated in place after its row max is taken out;
+    its rows of ``out`` are normalized after the value product, and its column
+    sums, each row weighted by its inverse row sum, go into a float64
+    accumulator. The [heads, N, M] post-softmax weights are written to
+    ``weights`` only when that buffer is given.
+    """
+    if (q.ndim != 2 or k.ndim != 2 or v.shape != k.shape or k.shape[1] != q.shape[1]
+            or not k.shape[0]):
+        raise DimensionError(
+            f"attention expects [N, d] queries and [M >= 1, d] keys and values, "
+            f"got {q.shape}, {k.shape}, {v.shape}")
+    n, dim = q.shape
+    m = k.shape[0]
+    if heads < 1 or dim % heads:
+        raise DimensionError(f"width {dim} does not split into {heads} heads")
+    if weights is not None and weights.shape != (heads, n, m):
+        raise DimensionError(f"weights buffer {weights.shape} is not {(heads, n, m)}")
+    dtype = np.result_type(q, k, v)
+    qh = split_heads(q * dtype.type(1.0 / math.sqrt(dim // heads)), heads)
+    kt = split_heads(k, heads).transpose(0, 2, 1)
+    vh = split_heads(v, heads)
+    out = np.empty((n, dim), dtype=dtype)
+    out_h = split_heads(out, heads)
+    rows = max(1, min(n, ATTENTION_TILE_LOGITS // (heads * m)))
+    buffer = np.empty((heads, rows, m), dtype=dtype)
+    colsum = np.zeros(m, dtype=np.float64)
+    for lo in range(0, n, rows):
+        hi = min(n, lo + rows)
+        tile = buffer[:, : hi - lo]
+        np.matmul(qh[:, lo:hi], kt, out=tile)
+        tile -= tile.max(axis=2, keepdims=True)
+        np.exp(tile, out=tile)
+        inv = 1.0 / tile.sum(axis=2, keepdims=True)
+        colsum += np.matmul(inv.transpose(0, 2, 1), tile).sum(axis=(0, 1))
+        rows_out = out_h[:, lo:hi]
+        np.matmul(tile, vh, out=rows_out)
+        rows_out *= inv
+        if weights is not None:
+            np.multiply(tile, inv, out=weights[:, lo:hi])
+    return _checked(out), colsum / (heads * n)
 
 
 def conv1x1(x: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -188,11 +188,11 @@ def test_criterion_08_normalization_invariants():
         q = rng.standard_normal((8, 4))
         kk = rng.standard_normal((5, 4))
         v = rng.standard_normal((5, 4))
-        out, weights = psa.coarse_attention(q, kk, v, 2)
+        out, scores = psa.attention(q, kk, v, 2)
         eps = 1e-9
         convexity_ok = convexity_ok and bool(
             np.all(out <= v.max(axis=0) + eps) and np.all(out >= v.min(axis=0) - eps))
-        mass_ok = mass_ok and abs(psa.key_scores(weights).sum() - 1.0) < 1e-6
+        mass_ok = mass_ok and abs(scores.sum() - 1.0) < 1e-6
     ok = softmax_ok and convexity_ok and mass_ok
     verdict(8, "normalization and convexity invariants", ok, "100 trials each")
 

@@ -190,6 +190,21 @@ def _case_cross_entropy(rng):
     return params, lambda p: ad.cross_entropy(p["logits"], 3)
 
 
+def _attention_case(heads):
+    def make(rng):
+        params = {"q": rng.standard_normal((5, 4)), "k": rng.standard_normal((3, 4)),
+                  "v": rng.standard_normal((3, 4))}
+        r = rng.standard_normal((5, 4))
+
+        def build(p):
+            out, _ = ad.attention(p["q"], p["k"], p["v"], heads)
+            return _probe_loss(out, r)
+
+        return params, build
+
+    return make
+
+
 OP_CASES = {
     "add": _case_add,
     "mul": _case_mul,
@@ -197,6 +212,8 @@ OP_CASES = {
     "matmul": _case_matmul,
     "transpose": _case_transpose,
     "softmax_rows": _case_softmax_rows,
+    "attention_heads1": _attention_case(1),
+    "attention_heads2": _attention_case(2),
     "conv1x1": _case_conv1x1,
     "depthwise_conv7x7": _case_depthwise,
     "batch_norm_train_map": _bn_case("train", 0),
@@ -235,7 +252,7 @@ def test_gradcheck_per_op(op):
 
 def test_every_recordable_op_has_a_gradcheck_case():
     """Keep the table above in sync with the dispatch table."""
-    covered = set(OP_CASES) | {"batch_norm", "mean"}
+    covered = set(OP_CASES) | {"batch_norm", "mean", "attention"}
     assert set(ad._RECORDABLE) <= covered
 
 

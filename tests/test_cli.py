@@ -130,6 +130,18 @@ class TestHeatmap:
 
 
 class TestRunPsa:
+    def test_nan_pixel_exits_one(self, capsys, tmp_path):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((32, 8, 8)).astype(np.float32)
+        x[0, 5, 7] = np.nan
+        tio.save_tensor(tmp_path / "x.pstt", x)
+        tio.save_tensor(tmp_path / "u.pstt", rng.standard_normal((32, 4, 4)).astype(np.float32))
+        code, out, err = run(capsys, "run-psa", "--x", str(tmp_path / "x.pstt"),
+                             "--u", str(tmp_path / "u.pstt"), "--fine", "on")
+        assert code == 1
+        assert "check failed:" in err and "non-finite" in err
+        assert out == ""
+
     def test_smoke_with_refinement(self, capsys):
         code, out, _ = run(capsys, "run-psa", "--side", "8", "--fine", "on")
         assert code == 0

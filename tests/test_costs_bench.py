@@ -83,6 +83,11 @@ class TestMacBreakdown:
         assert macs["coarse_attention"] == 2 * coarse * d
         assert macs["fine_attention"] == 2 * fine * d
 
+    def test_fine_projection_covers_only_gathered_tokens(self):
+        d = 16
+        assert costs.mac_breakdown(64, 8, d, fine_enabled=True)["fine_kv_projection"] == 2 * 32 * d * d
+        assert costs.mac_breakdown(64, 32, d, fine_enabled=True)["fine_kv_projection"] == 2 * 64 * d * d
+
 
 class TestBenchmark:
     def test_minimum_sample_counts(self):

@@ -261,7 +261,7 @@ class TestLifecycle:
         def dense_fine(q, x_tokens, wk, wv, selection, heads):
             k_all = ad.matmul(x_tokens, ad.transpose(wk))
             v_all = ad.matmul(x_tokens, ad.transpose(wv))
-            out, _ = psa._attention(q, k_all, v_all, heads)
+            out, _ = psa.attention(q, k_all, v_all, heads)
             return out
 
         monkeypatch.setattr(psa, "_fine_attention", dense_fine)

@@ -145,29 +145,87 @@ class TestCoarseAttention:
 
 class TestKeyScores:
     def test_uniform_attention(self):
-        att = np.full((2, 8, 4), 0.25)
-        assert np.allclose(psa.key_scores(att), 0.25)
+        rng = np.random.default_rng(9)
+        _, scores = psa.attention(np.zeros((8, 4)), rng.standard_normal((4, 4)),
+                                  rng.standard_normal((4, 4)), 2)
+        assert np.allclose(scores, 0.25)
 
     def test_dominant_key_wins(self):
-        att = np.full((1, 6, 4), 0.1)
-        att[:, :, 2] = 0.7
-        assert psa.key_scores(att).argmax() == 2
+        k = np.zeros((4, 4))
+        k[2] = 3.0
+        _, scores = psa.attention(np.ones((6, 4)), k, np.zeros((4, 4)), 1)
+        assert scores.argmax() == 2
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(9)
-        att = ops.softmax_rows(rng.standard_normal((12, 4))).reshape(3, 4, 4)
-        assert np.allclose(psa.key_scores(att), oracles.key_scores_loops(att), atol=1e-7)
+        q, k, v = (rng.standard_normal(shape) for shape in ((12, 6), (4, 6), (4, 6)))
+        _, scores = psa.attention(q, k, v, 3)
+        _, weights = oracles.dense_attention_heads(q, k, v, 3)
+        assert np.allclose(scores, oracles.key_scores_loops(weights), atol=1e-7)
 
     def test_scores_sum_to_one_for_softmax_stacks(self):
         rng = np.random.default_rng(10)
         q = rng.standard_normal((16, 8))
         k = rng.standard_normal((4, 8))
-        _, weights = psa.coarse_attention(q, k, rng.standard_normal((4, 8)), 2)
-        assert abs(psa.key_scores(weights).sum() - 1.0) < 1e-6
+        _, scores = psa.attention(q, k, rng.standard_normal((4, 8)), 2)
+        assert abs(scores.sum() - 1.0) < 1e-6
 
     def test_rank_check(self):
         with pytest.raises(DimensionError):
-            psa.key_scores(np.zeros((4, 4)))
+            psa.attention(np.zeros((2, 4, 4)), np.zeros((4, 4)), np.zeros((4, 4)), 1)
+
+
+class TestAttentionCore:
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_ragged_tiles_match_oracle(self, monkeypatch, heads):
+        # 23 queries against 7 keys in tiles of 5 rows: four full tiles and a
+        # ragged one of 3.
+        monkeypatch.setattr(ops, "ATTENTION_TILE_LOGITS", 5 * heads * 7)
+        rng = np.random.default_rng([60, heads])
+        q, k, v = (rng.standard_normal(shape) for shape in ((23, 4), (7, 4), (7, 4)))
+        weights = np.empty((heads, 23, 7))
+        out, scores = psa.attention(q, k, v, heads, weights)
+        ref_out, ref_weights = oracles.dense_attention_heads(q, k, v, heads)
+        assert np.allclose(out, ref_out, atol=1e-12)
+        assert np.allclose(weights, ref_weights, atol=1e-12)
+        assert np.allclose(scores, oracles.key_scores_loops(ref_weights), atol=1e-12)
+
+    def test_float32_key_scores_at_4096_tokens(self):
+        # Block-sized core: 4096 queries, 1024 keys, two heads of 32, with
+        # logits spread wide enough that float32 accumulation over all 8192
+        # query rows would lose the sum.
+        rng = np.random.default_rng(62)
+        q, k, v = (rng.standard_normal(shape).astype(np.float32)
+                   for shape in ((4096, 64), (1024, 64), (1024, 64)))
+        q *= 2
+        k *= 2
+        _, scores = psa.attention(q, k, v, 2)
+        assert abs(scores.sum() - 1.0) < 1e-6
+        q64, k64 = q.astype(np.float64), k.astype(np.float64)
+        exact = np.zeros(1024)
+        for h in range(2):
+            cols = slice(32 * h, 32 * (h + 1))
+            logits = q64[:, cols] @ k64[:, cols].T / np.sqrt(32)
+            att = np.exp(logits - logits.max(axis=1, keepdims=True))
+            exact += (att / att.sum(axis=1, keepdims=True)).sum(axis=0)
+        exact /= 2 * 4096
+        assert np.abs(scores - exact).max() <= 1e-4 * exact.mean()
+
+    def test_weights_buffer_shape_checked(self):
+        with pytest.raises(DimensionError):
+            psa.attention(np.zeros((4, 4)), np.zeros((2, 4)), np.zeros((2, 4)), 2,
+                          np.empty((2, 4, 3)))
+
+    def test_taped_core_matches_untaped_bitwise(self):
+        rng = np.random.default_rng(63)
+        q, k, v = (rng.standard_normal(shape).astype(np.float32)
+                   for shape in ((32, 8), (8, 8), (8, 8)))
+        plain, plain_scores = psa.attention(q, k, v, 2)
+        tape = ad.Tape()
+        taped, taped_scores = psa.attention(tape.leaf(q, requires_grad=True), k, v, 2)
+        assert tape.op_names() == ["attention"]
+        assert np.array_equal(plain, taped.value)
+        assert np.array_equal(plain_scores, taped_scores)
 
 
 class TestSelectFineIndices:
@@ -446,13 +504,17 @@ class TestPsaForward:
 
     def test_selection_invariant_to_per_query_logit_shifts(self):
         rng = np.random.default_rng(38)
-        logits = rng.standard_normal((16, 4))
+        q = rng.standard_normal((16, 3))
         shifts = rng.standard_normal((16, 1)) * 100
-        att1 = ops.softmax_rows(logits)
-        att2 = ops.softmax_rows(logits + shifts)
+        # A key column of ones turns the extra query column into a
+        # per-query shift of every logit.
+        k = np.hstack([rng.standard_normal((4, 3)), np.ones((4, 1))])
+        v = rng.standard_normal((4, 4))
+        att1 = np.empty((1, 16, 4))
+        att2 = np.empty((1, 16, 4))
+        _, s1 = psa.attention(np.hstack([q, np.zeros((16, 1))]), k, v, 1, att1)
+        _, s2 = psa.attention(np.hstack([q, shifts]), k, v, 1, att2)
         assert np.allclose(att1, att2, atol=1e-12)
-        s1 = psa.key_scores(att1[None])
-        s2 = psa.key_scores(att2[None])
         cfg = psa.PsaConfig(token_dim=8, k=2)
         sel1 = psa.select_fine_indices(s1, cfg, (2, 2))
         sel2 = psa.select_fine_indices(s2, cfg, (2, 2))

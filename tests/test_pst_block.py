@@ -6,8 +6,9 @@ import pytest
 import oracles
 from pst import autodiff as ad
 from pst import pst_block as blk
-from pst.errors import AccountingError, ContractError, DimensionError
+from pst.errors import AccountingError, ContractError, DimensionError, NumericError
 from pst.params import named_arrays
+from pst import psa
 from pst.psa import PsaConfig
 
 
@@ -63,6 +64,31 @@ class TestForwardContract:
         x, u = make_inputs(rng, cfg)
         out = blk.pst_forward(x, u, p, cfg)
         assert np.array_equal(out, np.zeros((16, 8, 8)))
+
+
+class TestNonFiniteInputs:
+    """One NaN pixel must fail loudly instead of turning refinement off."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_block_entry_points_raise(self, bad):
+        rng = np.random.default_rng(70)
+        cfg = small_cfg(k=2, fine_enabled=True)
+        p = blk.PstParams.create(cfg, rng, np.float32)
+        x, u = make_inputs(rng, cfg, dtype=np.float32)
+        x_bad = x.copy()
+        x_bad[0, 5, 7] = bad
+        with pytest.raises(NumericError):
+            blk.pst_forward(x_bad, u, p, cfg)
+        with pytest.raises(NumericError):
+            blk.pst_forward_batch([x, x_bad], [u, u], p, cfg)
+        xs = rng.standard_normal((8, 8, 8)).astype(np.float32)
+        us = rng.standard_normal((8, 4, 4)).astype(np.float32)
+        us_bad = us.copy()
+        us_bad[3, 1, 2] = bad
+        with pytest.raises(NumericError):
+            psa.psa_forward(xs, us_bad, p.psa, cfg.psa)
+        with pytest.raises(NumericError):
+            psa.psa_forward_batch([xs, xs], [us, us_bad], p.psa, cfg.psa)
 
 
 class TestComposition:
