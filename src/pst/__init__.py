@@ -16,7 +16,6 @@ from .bench import BenchComparison, LatencyStats, bench_psa_vs_dense, benchmark
 from .costs import CostReport, count_interactions, interaction_formula, mac_breakdown
 from .errors import (
     AccountingError,
-    CapabilityError,
     ContractError,
     DimensionError,
     DivergenceError,

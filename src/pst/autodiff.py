@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import tensor_ops as ops
-from .errors import CapabilityError, ContractError, DimensionError, NumericError
+from .errors import ContractError, DimensionError, NumericError
 from .params import map_arrays
 
 
@@ -64,10 +64,6 @@ class Tape:
         self._grad_leaves: dict[int, bool] = {}
         self._consumed = False
         self.nodes_visited = 0
-
-    @property
-    def nodes(self) -> tuple[_Node, ...]:
-        return tuple(self._nodes)
 
     def op_names(self) -> list[str]:
         return [n.op for n in self._nodes]
@@ -125,13 +121,6 @@ class Tape:
             g = grads.get(vid)
             table[vid] = g if g is not None else np.zeros_like(self._values[vid])
         return table
-
-    def record(self, op: str, *args, **kwargs):
-        """String-keyed entry point for the supported op set."""
-        fn = _RECORDABLE.get(op)
-        if fn is None:
-            raise CapabilityError(f"unsupported op: {op!r}")
-        return fn(*args, **kwargs)
 
 
 def _val(x) -> np.ndarray:
@@ -229,6 +218,8 @@ def transpose(x):
 
 
 def softmax_rows(x):
+    # The library's attention runs the fused ``attention`` op; this op stays
+    # because perfbench reports per-layer metrics under its name.
     xv = _val(x)
     y = ops.softmax_rows(xv)
     tape = _tape_of(x)
@@ -459,23 +450,6 @@ def gather_rows(t, indices):
     return tape._emit("gather_rows", (t,), out, bwd)
 
 
-def col_slice(t, start: int, stop: int):
-    tv = _val(t)
-    if tv.ndim != 2:
-        raise DimensionError(f"col_slice expects a rank-2 array, got {tv.shape}")
-    out = tv[:, start:stop]
-    tape = _tape_of(t)
-    if tape is None:
-        return out
-
-    def bwd(up):
-        g = np.zeros_like(tv)
-        g[:, start:stop] = up
-        return (g,)
-
-    return tape._emit("col_slice", (t,), out, bwd)
-
-
 def concat_cols(parts: Sequence):
     vals = [_val(p) for p in parts]
     out = np.concatenate(vals, axis=1)
@@ -660,38 +634,6 @@ def cross_entropy(logits, label: int):
         return (g * up,)
 
     return tape._emit("cross_entropy", (logits,), out, bwd)
-
-
-_RECORDABLE = {
-    "matmul": matmul,
-    "softmax_rows": softmax_rows,
-    "attention": attention,
-    "conv1x1": conv1x1,
-    "depthwise_conv7x7": depthwise_conv7x7,
-    "batch_norm": batch_norm,
-    "upsample_nearest2x": upsample_nearest2x,
-    "downsample_avg2x": downsample_avg2x,
-    "concat_channels": concat_channels,
-    "gather_rows": gather_rows,
-    "add": add,
-    "mul": mul,
-    "mean": mean_all,
-    "cross_entropy": cross_entropy,
-    "scalar_affine": scalar_affine,
-    "transpose": transpose,
-    "col_slice": col_slice,
-    "concat_cols": concat_cols,
-    "row_slice": row_slice,
-    "concat_rows": concat_rows,
-    "add_bias": add_bias,
-    "linear": linear,
-    "silu": silu,
-    "sigmoid": sigmoid,
-    "mean_spatial": mean_spatial,
-    "sum_all": sum_all,
-    "tokens_to_map": tokens_to_map,
-    "map_to_tokens": map_to_tokens,
-}
 
 
 # --- gradient checking ------------------------------------------------------

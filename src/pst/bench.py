@@ -40,23 +40,31 @@ class LatencyStats:
 
 def benchmark(fn, *, repeats: int = 30, warmup: int = 5) -> LatencyStats:
     """Time ``fn()`` after warmup runs. Enforces minimum sample counts."""
+    return benchmark_interleaved([fn], repeats=repeats, warmup=warmup)[0]
+
+
+def benchmark_interleaved(fns, *, repeats: int = 30, warmup: int = 5) -> list[LatencyStats]:
+    """:func:`benchmark` for several functions, one call of each in turn, so
+    that a slow stretch of the host slows all of them alike."""
     if repeats < MIN_REPEATS:
         raise ValueError(f"repeats must be at least {MIN_REPEATS}, got {repeats}")
     if warmup < MIN_WARMUP:
         raise ValueError(f"warmup must be at least {MIN_WARMUP}, got {warmup}")
     for _ in range(warmup):
-        fn()
-    samples = np.empty(repeats, dtype=np.float64)
+        for fn in fns:
+            fn()
+    samples = np.empty((len(fns), repeats), dtype=np.float64)
     for i in range(repeats):
-        start = time.perf_counter_ns()
-        fn()
-        samples[i] = time.perf_counter_ns() - start
-    return LatencyStats(
-        samples_ns=samples,
-        median_ns=float(np.median(samples)),
-        p10_ns=float(np.percentile(samples, 10)),
-        p90_ns=float(np.percentile(samples, 90)),
-    )
+        for j, fn in enumerate(fns):
+            start = time.perf_counter_ns()
+            fn()
+            samples[j, i] = time.perf_counter_ns() - start
+    return [LatencyStats(
+        samples_ns=row,
+        median_ns=float(np.median(row)),
+        p10_ns=float(np.percentile(row, 10)),
+        p90_ns=float(np.percentile(row, 90)),
+    ) for row in samples]
 
 
 @dataclass(frozen=True)
@@ -106,8 +114,8 @@ def bench_psa_vs_dense(n: int = 4096, token_dim: int = 32, seed: int = 0, *,
     was_checking = ops._debug_checks
     ops.set_debug_checks(False)
     try:
-        pooled = benchmark(pooled_run, repeats=repeats, warmup=warmup)
-        dense = benchmark(dense_run, repeats=repeats, warmup=warmup)
+        pooled, dense = benchmark_interleaved([pooled_run, dense_run],
+                                              repeats=repeats, warmup=warmup)
     finally:
         ops.set_debug_checks(was_checking)
     return BenchComparison(n=n, token_dim=token_dim, pooled=pooled, dense=dense)

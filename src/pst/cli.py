@@ -18,7 +18,6 @@ from . import costs, heatmap, io as tensor_io, networks
 from .autodiff import check_gradients
 from .errors import (
     AccountingError,
-    CapabilityError,
     ContractError,
     DimensionError,
     DivergenceError,
@@ -48,7 +47,7 @@ def _psa_config(args, **overrides) -> PsaConfig:
     return PsaConfig(**fields)
 
 
-def _add_psa_flags(sub, *, cprime=32):
+def _add_psa_flags(sub, *, cprime=32, precision="f32"):
     sub.add_argument("--cprime", type=int, default=cprime,
                      help="embedding width of the block")
     sub.add_argument("--heads", type=int, default=None,
@@ -62,7 +61,7 @@ def _add_psa_flags(sub, *, cprime=32):
                      help="combine branches by sum or learned gate")
     sub.add_argument("--stack", type=int, default=1, help="chained attention stages")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--precision", choices=sorted(_PRECISIONS), default="f32")
+    sub.add_argument("--precision", choices=sorted(_PRECISIONS), default=precision)
 
 
 def _cmd_params(args) -> int:
@@ -204,15 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cost)
 
     p = commands.add_parser("gradcheck", help="finite-difference check of one block")
-    p.add_argument("--cprime", type=int, default=16)
-    p.add_argument("--heads", type=int, default=None)
-    p.add_argument("--k", type=int, default=8)
-    p.add_argument("--threshold", type=float, default=1e-6)
-    p.add_argument("--fine", choices=("on", "off"), default="off")
-    p.add_argument("--fusion", choices=sorted(_FUSIONS), default="sum")
-    p.add_argument("--stack", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--precision", choices=sorted(_PRECISIONS), default="f64")
+    _add_psa_flags(p, cprime=16, precision="f64")
     p.add_argument("--c", type=int, default=8, help="fine input channels")
     p.add_argument("--cup", type=int, default=16, help="coarse input channels")
     p.add_argument("--side", type=int, default=4, help="fine map side length")
@@ -272,7 +263,7 @@ def main(argv=None) -> int:
             NumericError, GatherIndexError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    except (DimensionError, CapabilityError, ValueError) as exc:
+    except (DimensionError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

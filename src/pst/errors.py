@@ -16,10 +16,6 @@ class GatherIndexError(IndexError):
         self.row_count = row_count
 
 
-class CapabilityError(ValueError):
-    """The requested operation is not part of the supported op set."""
-
-
 class ContractError(RuntimeError):
     """An API precondition was violated (reused tape, non-scalar loss, ...)."""
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -61,7 +62,8 @@ def tensor_from_bytes(data: bytes) -> np.ndarray:
         raise FormatError("file truncated inside the extent list", offset=len(data))
     shape = struct.unpack_from(f"<{ndim}I", data, _HEADER.size)
     dtype = _CODE_DTYPES[dtype_code]
-    expected_end = extents_end + int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+    # A Python-int product: u32 extents overflow any fixed-width integer.
+    expected_end = extents_end + math.prod(shape) * dtype.itemsize
     if len(data) < expected_end:
         raise FormatError(
             f"payload ends early, expected {expected_end} bytes", offset=len(data))
@@ -100,8 +102,20 @@ def save_checkpoint(directory, params) -> dict:
     return manifest
 
 
+def _tensor_path(root: Path, name: str, filename) -> Path:
+    """The file a manifest entry names: a plain file directly inside ``root``."""
+    path = root / filename if isinstance(filename, str) else root
+    if path.parent != root or path.name != filename or path.is_symlink() or not path.is_file():
+        raise FormatError(f"manifest entry {name!r} names {filename!r}, not a plain file in {root}")
+    return path
+
+
 def load_checkpoint(directory, params) -> None:
-    """Fill ``params`` in place from a checkpoint directory."""
+    """Fill ``params`` in place from a checkpoint directory.
+
+    Every manifest entry must name a plain file directly inside the
+    directory; a path, a symlink or a non-string raises :class:`FormatError`.
+    """
     root = Path(directory)
     manifest_path = root / MANIFEST_NAME
     if not manifest_path.is_file():
@@ -118,7 +132,8 @@ def load_checkpoint(directory, params) -> None:
     if missing or extra:
         raise DimensionError(
             f"checkpoint does not match the parameter tree: missing {missing}, extra {extra}")
-    values = {name: load_tensor(root / filename) for name, filename in entries.items()}
+    values = {name: load_tensor(_tensor_path(root, name, filename))
+              for name, filename in entries.items()}
     assign_arrays(params, values)
 
 

@@ -19,7 +19,7 @@ from . import autodiff as ad
 from .autodiff import Tape, lift_tree
 from .errors import ContractError, DimensionError, DivergenceError, NumericError
 from .params import BatchNormState, kaiming, learnable_arrays
-from .psa import PsaConfig, normalize_map_batch
+from .psa import PsaConfig, normalize_maps
 from .pst_block import PstConfig, PstParams, pst_forward, pst_forward_batch
 
 BACKBONE_CHANNELS = (16, 32, 64)
@@ -72,7 +72,7 @@ def backbone_forward_batch(images: list, p: BackboneParams, *, bn_mode: str = "i
     per_sample_levels = [[] for _ in images]
     for conv, norm in zip(p.convs, p.norms):
         xs = [ad.downsample_avg2x(x) for x in xs]
-        xs = normalize_map_batch([ad.conv1x1(x, conv) for x in xs], norm, bn_mode, stat_sink)
+        xs = normalize_maps([ad.conv1x1(x, conv) for x in xs], norm, bn_mode, stat_sink)
         xs = [ad.silu(x) for x in xs]
         for levels, x in zip(per_sample_levels, xs):
             levels.append(x)
@@ -247,20 +247,10 @@ def init_train_state(cfg: ClsConfig, seed: int, dtype=np.float32) -> TrainState:
 
 
 def _apply_stat_updates(stat_sink: list) -> None:
-    # One momentum update per site and step: per-sample candidates averaged.
-    grouped: dict[int, list] = {}
-    order: list[int] = []
+    # Joint batch statistics give one entry per normalization site and step.
     for mean_arr, new_mean, var_arr, new_var in stat_sink:
-        key = id(mean_arr)
-        if key not in grouped:
-            grouped[key] = [mean_arr, var_arr, [], []]
-            order.append(key)
-        grouped[key][2].append(new_mean)
-        grouped[key][3].append(new_var)
-    for key in order:
-        mean_arr, var_arr, means, variances = grouped[key]
-        mean_arr[...] = np.mean(means, axis=0)
-        var_arr[...] = np.mean(variances, axis=0)
+        mean_arr[...] = new_mean
+        var_arr[...] = new_var
 
 
 def train_step(images: np.ndarray, labels: np.ndarray, state: TrainState,

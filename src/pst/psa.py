@@ -19,6 +19,9 @@ place, and its column sums go into a float64 accumulator that yields the key
 scores. The [heads, N, M] weights are built only when diagnostics ask for
 them. On the tape the core is one ``attention`` op with its own backward rule.
 
+One list-based path runs the block: :func:`psa_forward` is
+:func:`psa_forward_batch` on a one-sample list.
+
 The fine stage is an inference-time refinement: training runs with it
 disabled, and enabling it afterwards changes no parameter bytes. Non-finite
 input maps raise :class:`~pst.errors.NumericError` at the block boundary.
@@ -162,38 +165,28 @@ def _note_interactions(n: int) -> None:
 # --- normalization helpers ----------------------------------------------------
 
 
-def normalize_map(x, bn: BatchNormState, mode: str, stat_sink: Optional[list]):
-    """Apply a normalization site to a [C, H, W] value."""
+def _batch_norm(x, bn: BatchNormState, mode: str, stat_sink: Optional[list],
+                channel_axis: int):
     y, new_mean, new_var = ad.batch_norm(
         x, bn.gamma, bn.beta, bn.running_mean, bn.running_var,
-        mode=mode, channel_axis=0)
+        mode=mode, channel_axis=channel_axis)
     if stat_sink is not None and mode == "train":
         stat_sink.append((bn.running_mean, new_mean, bn.running_var, new_var))
     return y
 
 
-def normalize_tokens(t, bn: BatchNormState, mode: str, stat_sink: Optional[list]):
-    """Apply a normalization site to a [N, d] value (channels are columns)."""
-    y, new_mean, new_var = ad.batch_norm(
-        t, bn.gamma, bn.beta, bn.running_mean, bn.running_var,
-        mode=mode, channel_axis=1)
-    if stat_sink is not None and mode == "train":
-        stat_sink.append((bn.running_mean, new_mean, bn.running_var, new_var))
-    return y
-
-
-def normalize_tokens_batch(parts: list, bn: BatchNormState, mode: str,
-                           stat_sink: Optional[list]) -> list:
-    """One normalization site over a batch of token matrices.
+def normalize_tokens(parts: list, bn: BatchNormState, mode: str,
+                     stat_sink: Optional[list]) -> list:
+    """One normalization site over a batch of [N, d] token matrices.
 
     Training statistics are gathered jointly across the whole batch, which
     is what makes the site a batch norm rather than a per-sample norm. A
-    single-element batch takes the plain path unchanged.
+    single-element batch is normalized directly, with no concat and slice.
     """
     if len(parts) == 1:
-        return [normalize_tokens(parts[0], bn, mode, stat_sink)]
+        return [_batch_norm(parts[0], bn, mode, stat_sink, channel_axis=1)]
     heights = [_val(t).shape[0] for t in parts]
-    joint = normalize_tokens(ad.concat_rows(parts), bn, mode, stat_sink)
+    joint = _batch_norm(ad.concat_rows(parts), bn, mode, stat_sink, channel_axis=1)
     out, offset = [], 0
     for height in heights:
         out.append(ad.row_slice(joint, offset, offset + height))
@@ -201,13 +194,13 @@ def normalize_tokens_batch(parts: list, bn: BatchNormState, mode: str,
     return out
 
 
-def normalize_map_batch(parts: list, bn: BatchNormState, mode: str,
-                        stat_sink: Optional[list]) -> list:
+def normalize_maps(parts: list, bn: BatchNormState, mode: str,
+                   stat_sink: Optional[list]) -> list:
     """One normalization site over a batch of [C, H, W] maps, joint stats."""
     if len(parts) == 1:
-        return [normalize_map(parts[0], bn, mode, stat_sink)]
+        return [_batch_norm(parts[0], bn, mode, stat_sink, channel_axis=0)]
     dims = [_val(m).shape[1:] for m in parts]
-    tokens = normalize_tokens_batch([ad.map_to_tokens(m) for m in parts], bn, mode, stat_sink)
+    tokens = normalize_tokens([ad.map_to_tokens(m) for m in parts], bn, mode, stat_sink)
     return [ad.tokens_to_map(t, h, w) for t, (h, w) in zip(tokens, dims)]
 
 
@@ -372,7 +365,7 @@ def _psa_tail_batch(qs: list, ks: list, vs: list, x_tokens_list: list,
         outs_fine.append(out_fine)
 
     positional = [conv_positional_encoding(v, coarse_dims, p.cpe_kernel) for v in vs]
-    positional = normalize_tokens_batch(positional, p.bn_cpe, bn_mode, stat_sink)
+    positional = normalize_tokens(positional, p.bn_cpe, bn_mode, stat_sink)
 
     projected = []
     for out_coarse, out_fine, pos in zip(outs_coarse, outs_fine, positional):
@@ -385,44 +378,32 @@ def _psa_tail_batch(qs: list, ks: list, vs: list, x_tokens_list: list,
             branches = out_coarse if out_fine is None else ad.add(out_coarse, out_fine)
         fused = ad.add(branches, pos)
         projected.append(_project(fused, p.wo))
-    return normalize_tokens_batch(projected, p.bn_out, bn_mode, stat_sink)
-
-
-def _psa_tail(q, k, v, x_tokens, shared_wk, shared_wv, p: PsaParams, cfg: PsaConfig,
-              fine_dims: tuple[int, int], bn_mode: str, stat_sink, diagnostics):
-    return _psa_tail_batch([q], [k], [v], [x_tokens], shared_wk, shared_wv, p, cfg,
-                           fine_dims, bn_mode, stat_sink, [diagnostics])[0]
+    return normalize_tokens(projected, p.bn_out, bn_mode, stat_sink)
 
 
 def psa_forward(x_map, u_map, p: PsaParams, cfg: PsaConfig, *,
                 bn_mode: str = "infer", stat_sink: Optional[list] = None,
                 diagnostics: Optional[dict] = None):
-    """Run one attention block over a fine map and its 2x coarser partner.
-
-    Returns a [token_dim, H, W] map at the fine resolution. ``diagnostics``,
-    when given, receives the attention stack, key scores, and selection.
-    A non-finite value in either map raises :class:`NumericError`.
-    """
-    _check_pair(x_map, u_map, cfg.token_dim)
-    h, w = _val(x_map).shape[1:]
-    x_tokens = ad.map_to_tokens(x_map)
-    u_tokens = ad.map_to_tokens(u_map)
-    q, k, v = project_qkv(x_tokens, u_tokens, p)
-    out = _psa_tail(q, k, v, x_tokens, p.wk, p.wv, p, cfg, (h, w),
-                    bn_mode, stat_sink, diagnostics)
-    return ad.tokens_to_map(out, h, w)
+    """:func:`psa_forward_batch` on one sample: one map, one ``diagnostics`` dict."""
+    return psa_forward_batch([x_map], [u_map], p, cfg, bn_mode=bn_mode, stat_sink=stat_sink,
+                             diagnostics=[diagnostics])[0]
 
 
 def psa_forward_batch(x_maps: list, u_maps: list, p: PsaParams, cfg: PsaConfig, *,
-                      bn_mode: str = "infer", stat_sink: Optional[list] = None) -> list:
-    """Run the block over a batch of map pairs with shared normalization stats.
+                      bn_mode: str = "infer", stat_sink: Optional[list] = None,
+                      diagnostics: Optional[list] = None) -> list:
+    """Run one attention block over each fine map and its 2x coarser partner.
 
-    All samples must share one spatial shape. A single-element batch is
-    exactly ``psa_forward``; larger batches differ only in gathering the
-    normalization statistics across samples, which training needs.
+    Returns one [token_dim, H, W] map per sample. All samples share one
+    spatial shape; the normalization sites gather statistics across them.
+    ``diagnostics``, when given, holds one dict or None per sample, which
+    receives its attention stack, key scores, and selection. A non-finite
+    value in any map raises :class:`NumericError`.
     """
     if len(x_maps) != len(u_maps) or not x_maps:
         raise DimensionError(f"batch of {len(x_maps)} fine maps with {len(u_maps)} coarse maps")
+    if diagnostics is not None and len(diagnostics) != len(x_maps):
+        raise DimensionError(f"{len(diagnostics)} diagnostics entries for {len(x_maps)} samples")
     shapes = {(_val(x).shape, _val(u).shape) for x, u in zip(x_maps, u_maps)}
     if len(shapes) != 1:
         raise DimensionError("all samples in a batch must share one spatial shape")
@@ -439,7 +420,7 @@ def psa_forward_batch(x_maps: list, u_maps: list, p: PsaParams, cfg: PsaConfig, 
         ks.append(k)
         vs.append(v)
     outs = _psa_tail_batch(qs, ks, vs, x_tokens_list, p.wk, p.wv, p, cfg, (h, w),
-                           bn_mode, stat_sink, None)
+                           bn_mode, stat_sink, diagnostics)
     return [ad.tokens_to_map(out, h, w) for out in outs]
 
 
@@ -471,8 +452,8 @@ def psa_stack_forward(x_map, u_map, params: list[PsaParams], cfg: PsaConfig, *,
     stage_maps = []
     for p in params:
         q = _project(source, p.wq)
-        out = _psa_tail(q, k, v, x_tokens, first.wk, first.wv, p, cfg, (h, w),
-                        bn_mode, stat_sink, None)
+        out = _psa_tail_batch([q], [k], [v], [x_tokens], first.wk, first.wv, p, cfg, (h, w),
+                              bn_mode, stat_sink, None)[0]
         if debug_sink is not None:
             debug_sink["stage_kv"].append((k, v))
             debug_sink["stage_outputs"].append(out)

@@ -4,6 +4,7 @@ Both inputs are first projected to the shared token width and normalized.
 The attention core fuses them, a two-layer pointwise MLP with a residual
 connection refines the result, and a final projection over the raw fine
 input concatenated with the refined tokens doubles the channel count.
+:func:`pst_forward` is :func:`pst_forward_batch` on a one-sample list.
 
 ``param_count`` enumerates every learnable tensor of the block and checks
 the ledger against the closed form ``10*d^2 + (c_up + 3*c + 61)*d`` for
@@ -21,14 +22,7 @@ from . import autodiff as ad
 from . import tensor_ops as ops
 from .errors import AccountingError, ContractError, DimensionError
 from .params import BatchNormState, kaiming, named_arrays
-from .psa import (
-    PsaConfig,
-    PsaParams,
-    normalize_map,
-    normalize_map_batch,
-    psa_forward,
-    psa_forward_batch,
-)
+from .psa import PsaConfig, PsaParams, normalize_maps, psa_forward_batch
 
 _SIZE_FACTORS = {"N": 1, "S": 2, "M": 4}
 
@@ -102,42 +96,26 @@ class PstParams:
 def pst_forward(x_raw, u_raw, p: PstParams, cfg: PstConfig, *,
                 bn_mode: str = "infer", stat_sink: Optional[list] = None,
                 diagnostics: Optional[dict] = None):
-    """Fuse a raw fine map with its raw 2x coarser partner.
-
-    Returns a ``[2 * token_dim, H, W]`` map at the fine resolution. A
-    non-finite value in either input raises :class:`NumericError`.
-    """
-    xs = ad._val(x_raw).shape
-    us = ad._val(u_raw).shape
-    if len(xs) != 3 or xs[0] != cfg.fine_channels:
-        raise DimensionError(f"fine input {xs} does not carry {cfg.fine_channels} channels")
-    if len(us) != 3 or us[0] != cfg.coarse_channels:
-        raise DimensionError(f"coarse input {us} does not carry {cfg.coarse_channels} channels")
-    if xs[1] != 2 * us[1] or xs[2] != 2 * us[2]:
-        raise DimensionError(f"fine map {xs} is not the 2x refinement of coarse map {us}")
-    if cfg.psa.stack_depth != 1:
-        raise ContractError("the fusion block runs a single attention stage; "
-                            "stacking is a standalone ablation")
-    ops.require_finite(ad._val(x_raw), ad._val(u_raw))
-
-    x = normalize_map(ad.conv1x1(x_raw, p.in_conv_x), p.bn_x, bn_mode, stat_sink)
-    u = normalize_map(ad.conv1x1(u_raw, p.in_conv_u), p.bn_u, bn_mode, stat_sink)
-    fused = psa_forward(x, u, p.psa, cfg.psa, bn_mode=bn_mode,
-                        stat_sink=stat_sink, diagnostics=diagnostics)
-    hidden = ad.silu(ad.conv1x1(fused, p.mlp_expand))
-    fused = ad.add(fused, ad.conv1x1(hidden, p.mlp_project))
-    out = ad.conv1x1(ad.concat_channels(x_raw, fused), p.end_conv)
-    return normalize_map(out, p.bn_end, bn_mode, stat_sink)
+    """:func:`pst_forward_batch` on one sample: one map, one ``diagnostics`` dict."""
+    return pst_forward_batch([x_raw], [u_raw], p, cfg, bn_mode=bn_mode, stat_sink=stat_sink,
+                             diagnostics=[diagnostics])[0]
 
 
 def pst_forward_batch(x_raws: list, u_raws: list, p: PstParams, cfg: PstConfig, *,
-                      bn_mode: str = "infer", stat_sink: Optional[list] = None) -> list:
-    """Fuse a batch of map pairs with normalization statistics shared
-    across samples. A single-element batch is exactly ``pst_forward``."""
+                      bn_mode: str = "infer", stat_sink: Optional[list] = None,
+                      diagnostics: Optional[list] = None) -> list:
+    """Fuse each raw fine map with its raw 2x coarser partner.
+
+    Returns one ``[2 * token_dim, H, W]`` map per sample; every normalization
+    site gathers statistics across the batch. ``diagnostics`` is passed to
+    :func:`pst.psa.psa_forward_batch`. A non-finite input raises
+    :class:`NumericError`.
+    """
     if len(x_raws) != len(u_raws) or not x_raws:
         raise DimensionError(f"batch of {len(x_raws)} fine maps with {len(u_raws)} coarse maps")
-    if len(x_raws) == 1:
-        return [pst_forward(x_raws[0], u_raws[0], p, cfg, bn_mode=bn_mode, stat_sink=stat_sink)]
+    if cfg.psa.stack_depth != 1:
+        raise ContractError("the fusion block runs a single attention stage; "
+                            "stacking is a standalone ablation")
     for x_raw, u_raw in zip(x_raws, u_raws):
         xs, us = ad._val(x_raw).shape, ad._val(u_raw).shape
         if len(xs) != 3 or xs[0] != cfg.fine_channels:
@@ -147,21 +125,17 @@ def pst_forward_batch(x_raws: list, u_raws: list, p: PstParams, cfg: PstConfig, 
         if xs[1] != 2 * us[1] or xs[2] != 2 * us[2]:
             raise DimensionError(f"fine map {xs} is not the 2x refinement of coarse map {us}")
         ops.require_finite(ad._val(x_raw), ad._val(u_raw))
-    if cfg.psa.stack_depth != 1:
-        raise ContractError("the fusion block runs a single attention stage; "
-                            "stacking is a standalone ablation")
 
-    xs = normalize_map_batch([ad.conv1x1(x, p.in_conv_x) for x in x_raws],
-                             p.bn_x, bn_mode, stat_sink)
-    us = normalize_map_batch([ad.conv1x1(u, p.in_conv_u) for u in u_raws],
-                             p.bn_u, bn_mode, stat_sink)
-    fused_list = psa_forward_batch(xs, us, p.psa, cfg.psa, bn_mode=bn_mode, stat_sink=stat_sink)
-    outs = []
-    for x_raw, fused in zip(x_raws, fused_list):
-        hidden = ad.silu(ad.conv1x1(fused, p.mlp_expand))
-        refined = ad.add(fused, ad.conv1x1(hidden, p.mlp_project))
-        outs.append(ad.conv1x1(ad.concat_channels(x_raw, refined), p.end_conv))
-    return normalize_map_batch(outs, p.bn_end, bn_mode, stat_sink)
+    xs = normalize_maps([ad.conv1x1(x, p.in_conv_x) for x in x_raws], p.bn_x, bn_mode, stat_sink)
+    us = normalize_maps([ad.conv1x1(u, p.in_conv_u) for u in u_raws], p.bn_u, bn_mode, stat_sink)
+    maps = psa_forward_batch(xs, us, p.psa, cfg.psa, bn_mode=bn_mode, stat_sink=stat_sink,
+                             diagnostics=diagnostics)
+    for i, x_raw in enumerate(x_raws):
+        # Replaced in place, so each attention output is freed once refined.
+        hidden = ad.silu(ad.conv1x1(maps[i], p.mlp_expand))
+        maps[i] = ad.add(maps[i], ad.conv1x1(hidden, p.mlp_project))
+        maps[i] = ad.conv1x1(ad.concat_channels(x_raw, maps[i]), p.end_conv)
+    return normalize_maps(maps, p.bn_end, bn_mode, stat_sink)
 
 
 # --- parameter accounting ------------------------------------------------------

@@ -223,8 +223,10 @@ def batch_norm(
         new_mean = running_mean
         new_var = running_var
     inv = 1.0 / np.sqrt(var.reshape(pshape) + eps)
-    xhat = (x - mean.reshape(pshape)) * inv
-    y = gamma.reshape(pshape) * xhat + beta.reshape(pshape)
+    y = x - mean.reshape(pshape)
+    y *= inv
+    y *= gamma.reshape(pshape)
+    y += beta.reshape(pshape)
     return _checked(y), new_mean, new_var
 
 
@@ -307,13 +309,14 @@ def topk_indices(scores: np.ndarray, k: int, threshold: float) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    out = np.empty_like(x)
+    """Numerically stable logistic function, in one pass.
+
+    ``exp`` sees ``-x`` where ``x >= 0`` and ``x`` elsewhere, so it never
+    overflows; ``-|x|`` would flip the sign bit of a NaN.
+    """
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return _checked(out)
+    e = np.exp(np.where(pos, -x, x))
+    return _checked(np.where(pos, x.dtype.type(1), e) / (1 + e))
 
 
 def silu(x: np.ndarray) -> np.ndarray:

@@ -121,6 +121,14 @@ class TestPsaVsDense:
         with pytest.raises(ValueError):
             bench.bench_psa_vs_dense(n=60, repeats=10, warmup=3)
 
+    def test_pooled_and_dense_samples_alternate(self, monkeypatch):
+        order = []
+        monkeypatch.setattr(bench, "psa_forward", lambda *a, **k: order.append("pooled"))
+        monkeypatch.setattr(bench, "dense_cross_attention",
+                            lambda *a, **k: order.append("dense"))
+        bench.bench_psa_vs_dense(n=64, token_dim=8, repeats=10, warmup=3)
+        assert order == ["pooled", "dense"] * 13
+
     def test_outputs_deterministic_across_timing(self):
         """The benchmark times fixed-seed closures; rerunning them is pure."""
         cfg = PsaConfig(token_dim=8, heads=1, k=0)

@@ -1,5 +1,6 @@
 """Tensor container format and checkpoint directory contract."""
 
+import json
 import struct
 
 import numpy as np
@@ -111,6 +112,13 @@ class TestFormatErrors:
             tio.tensor_from_bytes(blob + b"xx")
         assert exc.value.offset == len(blob)
 
+    def test_extent_product_beyond_int64(self):
+        extents = [2**32 - 1] * 4
+        blob = tio._HEADER.pack(tio.MAGIC, tio.VERSION, 0, 4) + struct.pack("<4I", *extents)
+        with pytest.raises(FormatError, match="payload ends early") as exc:
+            tio.tensor_from_bytes(blob + bytes(8))
+        assert exc.value.offset == len(blob) + 8
+
 
 class TestCheckpoints:
     @staticmethod
@@ -163,6 +171,24 @@ class TestCheckpoints:
         _, plain = self.fresh_params(6)
         with pytest.raises(DimensionError, match="extra.*gate_weight"):
             tio.load_checkpoint(tmp_path, plain)
+
+    @pytest.mark.parametrize("entry", [
+        "../evil.pstt", "sub/wq.pstt", "sub\\wq.pstt", "ABSOLUTE", "..", ".", "",
+        "missing.pstt", "link.pstt", 7, None, ["wq.pstt"]])
+    def test_manifest_entry_must_name_a_file_inside(self, tmp_path, entry):
+        _, p = self.fresh_params(9)
+        root = tmp_path / "ckpt"
+        tio.save_checkpoint(root, p)
+        outside = tmp_path / "evil.pstt"
+        tio.save_tensor(outside, p.wq)
+        (root / "sub").mkdir()
+        tio.save_tensor(root / "sub" / "wq.pstt", p.wq)
+        (root / "link.pstt").symlink_to(outside)
+        manifest = json.loads((root / "manifest.json").read_text())
+        manifest["tensors"]["wq"] = str(outside) if entry == "ABSOLUTE" else entry
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match="manifest entry 'wq'"):
+            tio.load_checkpoint(root, p)
 
     def test_digest_stable_across_fine_toggle(self, tmp_path):
         _, p_off = self.fresh_params(7, fine_enabled=False)

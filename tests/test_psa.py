@@ -595,6 +595,24 @@ class TestPsaBatch:
             psa.psa_forward_batch([x1], [], p, cfg)
 
 
+    def test_batch_diagnostics_are_per_sample(self):
+        rng = np.random.default_rng(50)
+        pairs = [make_pair(rng) for _ in range(2)]
+        cfg = psa.PsaConfig(token_dim=8, k=2, fine_enabled=True)
+        p = make_params(cfg, seed=51)
+        xs, us = [x for x, _ in pairs], [u for _, u in pairs]
+        diags = [None, {}]
+        psa.psa_forward_batch(xs, us, p, cfg, diagnostics=diags)
+        single = {}
+        psa.psa_forward(*pairs[1], p, cfg, diagnostics=single)
+        assert diags[0] is None
+        for key in ("attention", "key_scores"):
+            assert np.array_equal(diags[1][key], single[key])
+        assert np.array_equal(diags[1]["selection"].fine_indices,
+                              single["selection"].fine_indices)
+        with pytest.raises(DimensionError, match="diagnostics"):
+            psa.psa_forward_batch(xs, us, p, cfg, diagnostics=[{}])
+
 class TestPsaStack:
     def test_depth_one_is_plain_forward(self):
         rng = np.random.default_rng(49)

@@ -166,6 +166,19 @@ class TestBatching:
                          id(p.bn_end.running_mean)}
 
 
+    def test_batch_diagnostics_reach_the_attention_block(self):
+        rng = np.random.default_rng(11)
+        cfg = small_cfg(k=2, fine_enabled=True)
+        p = blk.PstParams.create(cfg, rng, np.float64)
+        pairs = [make_inputs(rng, cfg) for _ in range(2)]
+        diags = [{}, {}]
+        blk.pst_forward_batch([x for x, _ in pairs], [u for _, u in pairs], p, cfg,
+                              diagnostics=diags)
+        for (x, u), diag in zip(pairs, diags):
+            single = {}
+            blk.pst_forward(x, u, p, cfg, diagnostics=single)
+            assert np.array_equal(diag["key_scores"], single["key_scores"])
+
 class TestGradients:
     def test_full_block_infer_gradcheck(self):
         rng = np.random.default_rng(11)

@@ -67,6 +67,25 @@ class TestSoftmaxRows:
             ops.softmax_rows(np.zeros(4))
 
 
+class TestSigmoid:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_equal_two_branch_formula(self, dtype):
+        big = np.finfo(dtype).max
+        special = [0.0, -0.0, big, -big, 1e3, -1e3, 80.0, -80.0, 1e-30, -1e-30,
+                   np.inf, -np.inf, np.nan, -np.nan]
+        noise = np.random.default_rng(0).standard_normal(4096) * 30
+        x = np.concatenate([special, noise]).astype(dtype)
+        expected = np.empty_like(x)
+        pos = x >= 0
+        expected[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        expected[~pos] = ex / (1.0 + ex)
+        ops.set_debug_checks(False)  # NaN inputs are part of the comparison
+        got = ops.sigmoid(x)
+        assert got.dtype == x.dtype
+        assert got.tobytes() == expected.tobytes()
+
+
 class TestConv1x1:
     def test_identity_weight(self):
         x = np.random.default_rng(3).standard_normal((4, 3, 5))
