@@ -4,6 +4,8 @@ Not a general autograd. The op set is exactly what the attention block and
 the toy networks need, each with a hand-written backward rule that the test
 suite validates against central finite differences.
 
+Ops take the batch-first shapes of :mod:`pst.tensor_ops`: leading axes
+are the batch, and a backward rule sums a weight's gradient over them.
 Every op in this module accepts either plain numpy arrays or :class:`Var`
 handles. With plain arrays it just computes and returns an array, so the
 same forward code serves inference and training. As soon as one operand is
@@ -196,7 +198,9 @@ def matmul(a, b):
 
     def bwd(up):
         ga = up @ bv.T if isinstance(a, Var) else None
-        gb = av.T @ up if isinstance(b, Var) else None
+        gb = None
+        if isinstance(b, Var):
+            gb = av.reshape(-1, av.shape[-1]).T @ up.reshape(-1, up.shape[-1])
         return ga, gb
 
     return tape._emit("matmul", (a, b), out, bwd)
@@ -247,25 +251,30 @@ def attention(q, k, v, heads: int, weights: Optional[np.ndarray] = None):
     out, scores = ops.attention(qv, kv, vv, heads, weights)
     if tape is None:
         return out, scores
-    scale = out.dtype.type(1.0 / math.sqrt(qv.shape[1] // heads))
+    scale = out.dtype.type(1.0 / math.sqrt(qv.shape[-1] // heads))
 
     def bwd(up):
         d_out = ops.split_heads(up, heads)
         gq = gk = gv = None
         if isinstance(v, Var):
-            gv = ops.merge_heads(np.matmul(weights.transpose(0, 2, 1), d_out))
+            gv = ops.merge_heads(np.matmul(weights.swapaxes(-1, -2), d_out))
         if isinstance(q, Var) or isinstance(k, Var):
-            d_weights = np.matmul(d_out, ops.split_heads(vv, heads).transpose(0, 2, 1))
-            dot = (d_out * ops.split_heads(out, heads)).sum(axis=2, keepdims=True)
+            d_weights = np.matmul(d_out, ops.split_heads(vv, heads).swapaxes(-1, -2))
+            dot = (d_out * ops.split_heads(out, heads)).sum(axis=-1, keepdims=True)
             d_logits = weights * (d_weights - dot) * scale
             if isinstance(q, Var):
                 gq = ops.merge_heads(np.matmul(d_logits, ops.split_heads(kv, heads)))
             if isinstance(k, Var):
                 gk = ops.merge_heads(
-                    np.matmul(d_logits.transpose(0, 2, 1), ops.split_heads(qv, heads)))
+                    np.matmul(d_logits.swapaxes(-1, -2), ops.split_heads(qv, heads)))
         return gq, gk, gv
 
     return tape._emit("attention", (q, k, v), out, bwd), scores
+
+
+def _non_channel_axes(x: np.ndarray) -> tuple[int, ...]:
+    """Every axis of a [..., C, H, W] map but its channel axis."""
+    return tuple(i for i in range(x.ndim) if i != x.ndim - 3)
 
 
 def conv1x1(x, w):
@@ -274,14 +283,13 @@ def conv1x1(x, w):
     tape = _tape_of(x, w)
     if tape is None:
         return out
-    c_in = xv.shape[0]
-    c_out = wv.shape[0]
 
     def bwd(up):
         gx = ops.conv1x1(up, wv.T) if isinstance(x, Var) else None
         gw = None
         if isinstance(w, Var):
-            gw = up.reshape(c_out, -1) @ xv.reshape(c_in, -1).T
+            axes = _non_channel_axes(xv)
+            gw = np.tensordot(up, xv, axes=(axes, axes))
         return gx, gw
 
     return tape._emit("conv1x1", (x, w), out, bwd)
@@ -293,24 +301,26 @@ def depthwise_conv7x7(x, kernel):
     tape = _tape_of(x, kernel)
     if tape is None:
         return out
-    c, h, w = xv.shape
+    h, w = xv.shape[-2:]
 
     def bwd(up):
         gx = None
         gk = None
-        xp = np.zeros((c, h + 6, w + 6), dtype=xv.dtype)
-        xp[:, 3 : h + 3, 3 : w + 3] = xv
         if isinstance(kernel, Var):
+            # In the storage order the forward taps ran in.
+            last = ops.taps_channels_last(xv)
+            xp = ops.pad3(xv, last)
+            up_l = ops.map_buffer(up.shape, up.dtype, last)
+            up_l[...] = up
             gk = np.zeros_like(kv)
+            axes = _non_channel_axes(xv)
             for u in range(7):
                 for v in range(7):
-                    gk[:, u, v] = (up * xp[:, u : u + h, v : v + w]).sum(axis=(1, 2))
+                    gk[:, u, v] = (up_l * xp[..., u : u + h, v : v + w]).sum(axis=axes)
         if isinstance(x, Var):
-            gxp = np.zeros_like(xp)
-            for u in range(7):
-                for v in range(7):
-                    gxp[:, u : u + h, v : v + w] += kv[:, u, v][:, None, None] * up
-            gx = gxp[:, 3 : h + 3, 3 : w + 3]
+            # The adjoint of a 7x7 correlation is the correlation with the
+            # kernel turned by 180 degrees.
+            gx = ops.depthwise_conv7x7(up, kv[:, ::-1, ::-1])
         return gx, gk
 
     return tape._emit("depthwise_conv7x7", (x, kernel), out, bwd)
@@ -325,39 +335,39 @@ def batch_norm(x, gamma, beta, running_mean, running_var, *,
     values come back as plain arrays even when ``y`` is recorded.
     """
     xv, gv, bv = _val(x), _val(gamma), _val(beta)
-    y, new_mean, new_var = ops.batch_norm(
-        xv, gv, bv, running_mean, running_var,
-        mode=mode, channel_axis=channel_axis, eps=eps, momentum=momentum)
     tape = _tape_of(x, gamma, beta)
+    channel_axis %= xv.ndim
+    stats = ops.channel_stats(xv, channel_axis) if tape is not None and mode == "train" else None
+    y, new_mean, new_var = ops.batch_norm(
+        xv, gv, bv, running_mean, running_var, mode=mode, channel_axis=channel_axis,
+        eps=eps, momentum=momentum, batch_stats=stats)
     if tape is None:
         return y, new_mean, new_var
 
-    channels = xv.shape[channel_axis]
     pshape = [1] * xv.ndim
-    pshape[channel_axis] = channels
+    pshape[channel_axis] = xv.shape[channel_axis]
     reduce_axes = tuple(i for i in range(xv.ndim) if i != channel_axis)
-    if mode == "train":
-        mean = xv.mean(axis=reduce_axes).reshape(pshape)
-        var = xv.var(axis=reduce_axes).reshape(pshape)
-    else:
-        mean = running_mean.reshape(pshape)
-        var = running_var.reshape(pshape)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xv - mean) * inv
+    mean, var = stats or (running_mean, running_var)
+    inv = 1.0 / np.sqrt(var.reshape(pshape) + eps)
+    xhat = (xv - mean.reshape(pshape)) * inv
 
     def bwd(up):
-        g_gamma = (up * xhat).sum(axis=reduce_axes) if isinstance(gamma, Var) else None
-        g_beta = up.sum(axis=reduce_axes) if isinstance(beta, Var) else None
+        g_beta = up.sum(axis=reduce_axes)
+        g_gamma = (up * xhat).sum(axis=reduce_axes)
         gx = None
         if isinstance(x, Var):
-            dxhat = up * gv.reshape(pshape)
+            scale = inv * gv.reshape(pshape)
             if mode == "train":
-                m1 = dxhat.mean(axis=reduce_axes, keepdims=True)
-                m2 = (dxhat * xhat).mean(axis=reduce_axes, keepdims=True)
-                gx = inv * (dxhat - m1 - xhat * m2)
+                # up - mean(up) - xhat * mean(up * xhat), per channel.
+                rows = xv.size // xv.shape[channel_axis]
+                gx = xhat * (g_gamma / rows).reshape(pshape)
+                np.subtract(up, gx, out=gx)
+                gx -= (g_beta / rows).reshape(pshape)
+                gx *= scale
             else:
-                gx = dxhat * inv
-        return gx, g_gamma, g_beta
+                gx = up * scale
+        return (gx, g_gamma if isinstance(gamma, Var) else None,
+                g_beta if isinstance(beta, Var) else None)
 
     y_var = tape._emit("batch_norm", (x, gamma, beta), y, bwd)
     return y_var, new_mean, new_var
@@ -369,10 +379,10 @@ def upsample_nearest2x(x):
     tape = _tape_of(x)
     if tape is None:
         return out
-    c, h, w = xv.shape
+    *lead, h, w = xv.shape
 
     def bwd(up):
-        return (up.reshape(c, h, 2, w, 2).sum(axis=(2, 4)),)
+        return (up.reshape(*lead, h, 2, w, 2).sum(axis=(-3, -1)),)
 
     return tape._emit("upsample_nearest2x", (x,), out, bwd)
 
@@ -385,7 +395,7 @@ def downsample_avg2x(x):
         return out
 
     def bwd(up):
-        return (np.repeat(np.repeat(up, 2, axis=1), 2, axis=2) * up.dtype.type(0.25),)
+        return (np.repeat(np.repeat(up, 2, axis=-2), 2, axis=-1) * up.dtype.type(0.25),)
 
     return tape._emit("downsample_avg2x", (x,), out, bwd)
 
@@ -396,11 +406,11 @@ def concat_channels(a, b):
     tape = _tape_of(a, b)
     if tape is None:
         return out
-    split = av.shape[0]
+    split = av.shape[-3]
 
     def bwd(up):
-        return (up[:split] if isinstance(a, Var) else None,
-                up[split:] if isinstance(b, Var) else None)
+        return (up[..., :split, :, :] if isinstance(a, Var) else None,
+                up[..., split:, :, :] if isinstance(b, Var) else None)
 
     return tape._emit("concat_channels", (a, b), out, bwd)
 
@@ -411,7 +421,7 @@ def map_to_tokens(x):
     tape = _tape_of(x)
     if tape is None:
         return out
-    _, h, w = xv.shape
+    h, w = xv.shape[-2:]
 
     def bwd(up):
         return (ops.tokens_to_map(up, h, w),)
@@ -451,64 +461,69 @@ def gather_rows(t, indices):
 
 
 def concat_cols(parts: Sequence):
+    """Join [..., N, d_i] token matrices along their last axis."""
     vals = [_val(p) for p in parts]
-    out = np.concatenate(vals, axis=1)
+    out = np.concatenate(vals, axis=-1)
     tape = _tape_of(*parts)
     if tape is None:
         return out
-    widths = [v.shape[1] for v in vals]
+    widths = [v.shape[-1] for v in vals]
 
     def bwd(up):
         grads = []
         offset = 0
         for p, wd in zip(parts, widths):
-            grads.append(up[:, offset : offset + wd] if isinstance(p, Var) else None)
+            grads.append(up[..., offset : offset + wd] if isinstance(p, Var) else None)
             offset += wd
         return grads
 
     return tape._emit("concat_cols", tuple(parts), out, bwd)
 
 
-def row_slice(t, start: int, stop: int):
-    tv = _val(t)
-    if tv.ndim != 2:
-        raise DimensionError(f"row_slice expects a rank-2 array, got {tv.shape}")
-    out = tv[start:stop]
-    tape = _tape_of(t)
-    if tape is None:
-        return out
-
-    def bwd(up):
-        g = np.zeros_like(tv)
-        g[start:stop] = up
-        return (g,)
-
-    return tape._emit("row_slice", (t,), out, bwd)
-
-
-def concat_rows(parts: Sequence):
+def stack(parts: Sequence):
+    """Stack equal-shaped samples along a new leading batch axis."""
     vals = [_val(p) for p in parts]
-    out = np.concatenate(vals, axis=0)
+    if not vals or any(v.shape != vals[0].shape for v in vals):
+        raise DimensionError(f"stack expects one or more equal shapes, got {[v.shape for v in vals]}")
+    out = np.stack(vals)
     tape = _tape_of(*parts)
     if tape is None:
         return out
-    heights = [v.shape[0] for v in vals]
 
     def bwd(up):
-        grads = []
-        offset = 0
-        for p, ht in zip(parts, heights):
-            grads.append(up[offset : offset + ht] if isinstance(p, Var) else None)
-            offset += ht
-        return grads
+        return [up[i] if isinstance(p, Var) else None for i, p in enumerate(parts)]
 
-    return tape._emit("concat_rows", tuple(parts), out, bwd)
+    return tape._emit("stack", tuple(parts), out, bwd)
+
+
+def unstack(x) -> list:
+    """Split a stack along its leading axis: one sample per entry.
+
+    Recorded as one ``unstack`` op per sample, each scattering its gradient
+    back into the stack's shape.
+    """
+    xv = _val(x)
+    if xv.ndim < 1:
+        raise DimensionError("unstack expects an array with a leading batch axis")
+    tape = _tape_of(x)
+    if tape is None:
+        return list(xv)
+
+    def take(i):
+        def bwd(up):
+            g = np.zeros_like(xv)
+            g[i] = up
+            return (g,)
+
+        return tape._emit("unstack", (x,), xv[i], bwd)
+
+    return [take(i) for i in range(xv.shape[0])]
 
 
 def add_bias(x, b):
-    """Broadcast a [C] bias over the rows of a [N, C] matrix."""
+    """Broadcast a [C] bias over the rows of a [..., N, C] matrix."""
     xv, bv = _val(x), _val(b)
-    if xv.ndim != 2 or bv.shape != (xv.shape[1],):
+    if xv.ndim < 2 or bv.shape != (xv.shape[-1],):
         raise DimensionError(f"add_bias shapes incompatible: {xv.shape} + {bv.shape}")
     out = xv + bv
     tape = _tape_of(x, b)
@@ -517,25 +532,31 @@ def add_bias(x, b):
 
     def bwd(up):
         return (up if isinstance(x, Var) else None,
-                up.sum(axis=0) if isinstance(b, Var) else None)
+                up.reshape(-1, bv.shape[0]).sum(axis=0) if isinstance(b, Var) else None)
 
     return tape._emit("add_bias", (x, b), out, bwd)
 
 
 def linear(v, w, b):
-    """Vector-matrix affine map: ``v @ w + b`` for a rank-1 ``v``."""
+    """Affine map of feature vectors: ``v @ w + b`` for a [..., F] ``v``.
+
+    Each vector is its own row product, so a stacked vector gives the bytes
+    it gives alone.
+    """
     vv, wv, bv = _val(v), _val(w), _val(b)
-    if vv.ndim != 1 or wv.ndim != 2 or vv.shape[0] != wv.shape[0] or bv.shape != (wv.shape[1],):
+    if vv.ndim < 1 or wv.ndim != 2 or vv.shape[-1] != wv.shape[0] or bv.shape != (wv.shape[1],):
         raise DimensionError(f"linear shapes incompatible: {vv.shape} @ {wv.shape} + {bv.shape}")
-    out = vv @ wv + bv
+    out = (vv[..., None, :] @ wv)[..., 0, :] + bv
     tape = _tape_of(v, w, b)
     if tape is None:
         return out
 
     def bwd(up):
-        gv = wv @ up if isinstance(v, Var) else None
-        gw = np.outer(vv, up) if isinstance(w, Var) else None
-        gb = up if isinstance(b, Var) else None
+        gv = (wv @ up[..., None])[..., 0] if isinstance(v, Var) else None
+        gw = None
+        if isinstance(w, Var):
+            gw = vv.reshape(-1, wv.shape[0]).T @ up.reshape(-1, wv.shape[1])
+        gb = up.reshape(-1, wv.shape[1]).sum(axis=0) if isinstance(b, Var) else None
         return gv, gw, gb
 
     return tape._emit("linear", (v, w, b), out, bwd)
@@ -550,7 +571,12 @@ def silu(x):
         return out
 
     def bwd(up):
-        return (up * (s * (1.0 + xv * (1.0 - s))),)
+        g = 1.0 - s
+        g *= xv
+        g += 1.0
+        g *= s
+        g *= up
+        return (g,)
 
     return tape._emit("silu", (x,), out, bwd)
 
@@ -569,18 +595,18 @@ def sigmoid(x):
 
 
 def mean_spatial(x):
-    """Average a [C, H, W] map over its spatial axes, yielding [C]."""
+    """Average a [..., C, H, W] map over its spatial axes, yielding [..., C]."""
     xv = _val(x)
-    if xv.ndim != 3:
-        raise DimensionError(f"mean_spatial expects a [C, H, W] input, got {xv.shape}")
-    out = xv.mean(axis=(1, 2))
+    if xv.ndim < 3:
+        raise DimensionError(f"mean_spatial expects a [..., C, H, W] input, got {xv.shape}")
+    out = xv.mean(axis=(-2, -1))
     tape = _tape_of(x)
     if tape is None:
         return out
-    scale = 1.0 / (xv.shape[1] * xv.shape[2])
+    scale = 1.0 / (xv.shape[-2] * xv.shape[-1])
 
     def bwd(up):
-        return (np.broadcast_to(up[:, None, None], xv.shape) * xv.dtype.type(scale),)
+        return (np.broadcast_to(up[..., None, None], xv.shape) * xv.dtype.type(scale),)
 
     return tape._emit("mean_spatial", (x,), out, bwd)
 
@@ -612,17 +638,25 @@ def mean_all(x):
     return tape._emit("mean_all", (x,), out, bwd)
 
 
-def cross_entropy(logits, label: int):
-    """Negative log likelihood of ``label`` under softmax of a logit vector."""
+def cross_entropy(logits, labels):
+    """Negative log likelihood of each label under softmax of its logit vector.
+
+    ``logits`` is [..., K] and ``labels`` an int or int array of shape
+    [...]; the result has shape [...], one loss per logit vector.
+    """
     lv = _val(logits)
-    if lv.ndim != 1:
-        raise DimensionError(f"cross_entropy expects a rank-1 logit vector, got {lv.shape}")
-    k = lv.shape[0]
-    if not 0 <= label < k:
-        raise ValueError(f"label {label} outside [0, {k})")
-    shifted = lv - lv.max()
-    lse = np.log(np.exp(shifted).sum())
-    out = np.asarray(lse - shifted[label], dtype=lv.dtype)
+    picks = np.asarray(labels, dtype=np.int64)
+    if lv.ndim < 1 or picks.shape != lv.shape[:-1]:
+        raise DimensionError(f"cross_entropy expects [..., K] logits with [...] labels, "
+                             f"got {lv.shape} and {picks.shape}")
+    k = lv.shape[-1]
+    if picks.size and not (0 <= picks.min() and picks.max() < k):
+        bad = picks.min() if picks.min() < 0 else picks.max()
+        raise ValueError(f"label {bad} outside [0, {k})")
+    onehot = np.arange(k) == picks[..., None]
+    shifted = lv - lv.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    out = np.asarray((lse - shifted)[onehot].reshape(picks.shape), dtype=lv.dtype)
     tape = _tape_of(logits)
     if tape is None:
         return out
@@ -630,8 +664,8 @@ def cross_entropy(logits, label: int):
 
     def bwd(up):
         g = probs.copy()
-        g[label] -= 1.0
-        return (g * up,)
+        g[onehot] -= 1.0
+        return (g * up[..., None],)
 
     return tape._emit("cross_entropy", (logits,), out, bwd)
 

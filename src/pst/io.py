@@ -113,14 +113,20 @@ def _tensor_path(root: Path, name: str, filename) -> Path:
 def load_checkpoint(directory, params) -> None:
     """Fill ``params`` in place from a checkpoint directory.
 
-    Every manifest entry must name a plain file directly inside the
-    directory; a path, a symlink or a non-string raises :class:`FormatError`.
+    A manifest that is not a JSON object raises :class:`FormatError`, and so
+    does an entry that is not a plain file directly inside the directory (a
+    path, a symlink or a non-string).
     """
     root = Path(directory)
     manifest_path = root / MANIFEST_NAME
     if not manifest_path.is_file():
         raise FormatError(f"no {MANIFEST_NAME} in {root}")
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"{MANIFEST_NAME} in {root} is not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{MANIFEST_NAME} in {root} holds {type(manifest).__name__}, not an object")
     if manifest.get("version") != VERSION:
         raise FormatError(f"unsupported checkpoint version {manifest.get('version')}")
     entries = manifest.get("tensors")

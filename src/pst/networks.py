@@ -6,6 +6,10 @@ classifier that fuses the two top levels, pools, and projects to logits.
 The classifier trains with plain momentum SGD on a synthetic, linearly
 separable dataset; the sparse refinement stage stays off during training
 and can be switched on afterwards without touching any parameter.
+
+Every layer runs batch-first: a training step or an evaluation passes one
+``[B, C, H, W]`` stack per layer, and the list entry points stack once on
+entry and unstack once on exit.
 """
 
 from __future__ import annotations
@@ -59,29 +63,38 @@ class BackboneParams:
         )
 
 
-def backbone_forward_batch(images: list, p: BackboneParams, *, bn_mode: str = "infer",
-                           stat_sink: Optional[list] = None) -> list:
+def _stack_images(images):
+    """``(stack, listed)``: a list of images stacked along a new batch axis,
+    or an array or Var passed through."""
+    listed = isinstance(images, (list, tuple))
+    return (ad.stack(images) if listed else images), listed
+
+
+def backbone_forward_batch(images, p: BackboneParams, *, bn_mode: str = "infer",
+                           stat_sink: Optional[list] = None):
     """Three stride-2 stages of pool, pointwise conv, normalization, SiLU.
 
-    Runs a whole batch so the normalization sites see joint statistics.
+    ``images`` is a [..., 3, 32, 32] stack, giving one ``PyramidFeatures`` of
+    stacked levels, or a list of images, giving one ``PyramidFeatures`` per
+    image. The normalization sites see joint statistics over the batch.
     """
-    for image in images:
-        if ad._val(image).shape != IMAGE_SHAPE:
-            raise DimensionError(f"expected a {IMAGE_SHAPE} image, got {ad._val(image).shape}")
-    xs = list(images)
-    per_sample_levels = [[] for _ in images]
+    x, listed = _stack_images(images)
+    if ad._val(x).shape[-3:] != IMAGE_SHAPE:
+        raise DimensionError(f"expected {IMAGE_SHAPE} images, got {ad._val(x).shape}")
+    levels = []
     for conv, norm in zip(p.convs, p.norms):
-        xs = [ad.downsample_avg2x(x) for x in xs]
-        xs = normalize_maps([ad.conv1x1(x, conv) for x in xs], norm, bn_mode, stat_sink)
-        xs = [ad.silu(x) for x in xs]
-        for levels, x in zip(per_sample_levels, xs):
-            levels.append(x)
-    return [PyramidFeatures(*levels) for levels in per_sample_levels]
+        x = ad.conv1x1(ad.downsample_avg2x(x), conv)
+        x = ad.silu(normalize_maps(x, norm, bn_mode, stat_sink))
+        levels.append(x)
+    if not listed:
+        return PyramidFeatures(*levels)
+    return [PyramidFeatures(*sample) for sample in zip(*(ad.unstack(m) for m in levels))]
 
 
 def backbone_forward(image, p: BackboneParams, *, bn_mode: str = "infer",
                      stat_sink: Optional[list] = None) -> PyramidFeatures:
-    return backbone_forward_batch([image], p, bn_mode=bn_mode, stat_sink=stat_sink)[0]
+    """:func:`backbone_forward_batch` on one bare [3, 32, 32] image."""
+    return backbone_forward_batch(image, p, bn_mode=bn_mode, stat_sink=stat_sink)
 
 
 # --- detection neck -------------------------------------------------------------
@@ -180,22 +193,27 @@ class ClsNetParams:
         )
 
 
-def cls_forward_batch(images: list, p: ClsNetParams, cfg: ClsConfig, *,
-                      bn_mode: str = "infer", stat_sink: Optional[list] = None) -> list:
-    """Logits per image: backbone, top-level fusion, pooling, affine map.
+def cls_forward_batch(images, p: ClsNetParams, cfg: ClsConfig, *,
+                      bn_mode: str = "infer", stat_sink: Optional[list] = None):
+    """Logits: backbone, top-level fusion, pooling, affine map.
 
-    Batched so training-mode normalization statistics span the batch.
+    ``images`` is a [..., 3, 32, 32] stack, giving [..., num_classes]
+    logits, or a list of images, giving one logit vector per image (on the
+    tape too). Training-mode normalization statistics span the batch, and
+    in infer mode each image's logits are the bytes it gets alone.
     """
-    feats = backbone_forward_batch(images, p.backbone, bn_mode=bn_mode, stat_sink=stat_sink)
-    fused = pst_forward_batch([f.p4 for f in feats], [f.p5 for f in feats],
-                              p.pst, cfg.pst, bn_mode=bn_mode, stat_sink=stat_sink)
-    return [ad.linear(ad.mean_spatial(f), p.cls_weight, p.cls_bias) for f in fused]
+    x, listed = _stack_images(images)
+    feats = backbone_forward_batch(x, p.backbone, bn_mode=bn_mode, stat_sink=stat_sink)
+    fused = pst_forward_batch(feats.p4, feats.p5, p.pst, cfg.pst,
+                              bn_mode=bn_mode, stat_sink=stat_sink)
+    logits = ad.linear(ad.mean_spatial(fused), p.cls_weight, p.cls_bias)
+    return ad.unstack(logits) if listed else logits
 
 
 def cls_forward(image, p: ClsNetParams, cfg: ClsConfig, *, bn_mode: str = "infer",
                 stat_sink: Optional[list] = None):
-    """Logits for one image: backbone, top-level fusion, pooling, affine."""
-    return cls_forward_batch([image], p, cfg, bn_mode=bn_mode, stat_sink=stat_sink)[0]
+    """Logits for one bare [3, 32, 32] image."""
+    return cls_forward_batch(image, p, cfg, bn_mode=bn_mode, stat_sink=stat_sink)
 
 
 # --- synthetic data ---------------------------------------------------------------
@@ -269,13 +287,9 @@ def train_step(images: np.ndarray, labels: np.ndarray, state: TrainState,
     lifted, leaves = lift_tree(tape, state.params)
     stat_sink: list = []
     try:
-        logits_list = cls_forward_batch(list(images), lifted, state.cfg,
-                                        bn_mode="train", stat_sink=stat_sink)
-        total = None
-        for logits, label in zip(logits_list, labels):
-            ce = ad.cross_entropy(logits, int(label))
-            total = ce if total is None else ad.add(total, ce)
-        loss = ad.scalar_affine(total, 1.0 / len(images))
+        logits = cls_forward_batch(np.asarray(images), lifted, state.cfg,
+                                   bn_mode="train", stat_sink=stat_sink)
+        loss = ad.mean_all(ad.cross_entropy(logits, labels))
     except NumericError as exc:
         raise DivergenceError(state.step) from exc
     loss_value = float(loss.value)
@@ -296,11 +310,10 @@ def train_step(images: np.ndarray, labels: np.ndarray, state: TrainState,
 
 def evaluate_accuracy(images: np.ndarray, labels: np.ndarray,
                       params: ClsNetParams, cfg: ClsConfig) -> float:
-    hits = 0
-    for image, label in zip(images, labels):
-        logits = cls_forward(image, params, cfg)
-        hits += int(np.argmax(logits)) == int(label)
-    return hits / len(images)
+    """Share of images whose largest logit is their label, from one batched
+    infer-mode forward over the [B, 3, 32, 32] stack."""
+    logits = cls_forward_batch(np.asarray(images), params, cfg)
+    return int((np.argmax(logits, axis=-1) == np.asarray(labels)).sum()) / len(images)
 
 
 @dataclass

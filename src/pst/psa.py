@@ -19,8 +19,12 @@ place, and its column sums go into a float64 accumulator that yields the key
 scores. The [heads, N, M] weights are built only when diagnostics ask for
 them. On the tape the core is one ``attention`` op with its own backward rule.
 
-One list-based path runs the block: :func:`psa_forward` is
-:func:`psa_forward_batch` on a one-sample list.
+One batch-first path runs the block: :func:`psa_forward_batch` takes one
+``[B, d, H, W]`` stack per input (or a list of maps, stacked on entry and
+unstacked on exit), and :func:`psa_forward` is the same body on a bare
+``[d, H, W]`` map. Projections, attention, the positional term and both
+normalizations run once over the stack; only the top-k selection and the
+fine stage, which are inference only, run per sample.
 
 The fine stage is an inference-time refinement: training runs with it
 disabled, and enabling it afterwards changes no parameter bytes. Non-finite
@@ -37,7 +41,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import tensor_ops as ops
-from .autodiff import Var, _tape_of, _val
+from .autodiff import _tape_of, _val
 from .errors import ContractError, DimensionError
 from .params import BatchNormState, kaiming, kaiming_depthwise
 
@@ -158,6 +162,7 @@ def track_interactions():
 
 
 def _note_interactions(n: int) -> None:
+    # ``n`` counts query-key pairs over every sample of a stack.
     for tally in _tallies:
         tally.add(n)
 
@@ -175,33 +180,19 @@ def _batch_norm(x, bn: BatchNormState, mode: str, stat_sink: Optional[list],
     return y
 
 
-def normalize_tokens(parts: list, bn: BatchNormState, mode: str,
-                     stat_sink: Optional[list]) -> list:
-    """One normalization site over a batch of [N, d] token matrices.
+def normalize_tokens(tokens, bn: BatchNormState, mode: str, stat_sink: Optional[list]):
+    """One normalization site over a [..., N, d] token stack.
 
-    Training statistics are gathered jointly across the whole batch, which
-    is what makes the site a batch norm rather than a per-sample norm. A
-    single-element batch is normalized directly, with no concat and slice.
+    Training statistics are gathered jointly across every sample of the
+    stack, which is what makes the site a batch norm rather than a
+    per-sample norm.
     """
-    if len(parts) == 1:
-        return [_batch_norm(parts[0], bn, mode, stat_sink, channel_axis=1)]
-    heights = [_val(t).shape[0] for t in parts]
-    joint = _batch_norm(ad.concat_rows(parts), bn, mode, stat_sink, channel_axis=1)
-    out, offset = [], 0
-    for height in heights:
-        out.append(ad.row_slice(joint, offset, offset + height))
-        offset += height
-    return out
+    return _batch_norm(tokens, bn, mode, stat_sink, channel_axis=-1)
 
 
-def normalize_maps(parts: list, bn: BatchNormState, mode: str,
-                   stat_sink: Optional[list]) -> list:
-    """One normalization site over a batch of [C, H, W] maps, joint stats."""
-    if len(parts) == 1:
-        return [_batch_norm(parts[0], bn, mode, stat_sink, channel_axis=0)]
-    dims = [_val(m).shape[1:] for m in parts]
-    tokens = normalize_tokens([ad.map_to_tokens(m) for m in parts], bn, mode, stat_sink)
-    return [ad.tokens_to_map(t, h, w) for t, (h, w) in zip(tokens, dims)]
+def normalize_maps(maps, bn: BatchNormState, mode: str, stat_sink: Optional[list]):
+    """One normalization site over a [..., C, H, W] map stack, joint stats."""
+    return _batch_norm(maps, bn, mode, stat_sink, channel_axis=-3)
 
 
 # --- attention stages ---------------------------------------------------------
@@ -214,8 +205,8 @@ def _project(tokens, weight):
 
 def project_qkv(x_tokens, u_tokens, p: PsaParams):
     """Queries from the fine tokens, keys and values from the coarse tokens."""
-    n = _val(x_tokens).shape[0]
-    m = _val(u_tokens).shape[0]
+    n = _val(x_tokens).shape[-2]
+    m = _val(u_tokens).shape[-2]
     if n != 4 * m:
         raise DimensionError(f"expected a 4:1 fine/coarse token ratio, got {n}:{m}")
     return _project(x_tokens, p.wq), _project(u_tokens, p.wk), _project(u_tokens, p.wv)
@@ -226,11 +217,13 @@ def attention(q, keys, vals, heads: int, weights: Optional[np.ndarray] = None):
 
     One fused, query-row-tiled kernel over all heads (see
     :func:`pst.tensor_ops.attention`); recorded on the tape as a single
-    ``attention`` op. ``weights``, when given, receives the [heads, N, M]
-    post-softmax weights. One query-key pair counts as one interaction
-    regardless of head count.
+    ``attention`` op. ``weights``, when given, receives the [..., heads, N, M]
+    post-softmax weights. One query-key pair of one sample counts as one
+    interaction regardless of head count, so a stack of B samples counts
+    B*N*M.
     """
-    _note_interactions(_val(q).shape[0] * _val(keys).shape[0])
+    qv = _val(q)
+    _note_interactions(int(np.prod(qv.shape[:-1])) * _val(keys).shape[-2])
     return ad.attention(q, keys, vals, heads, weights)
 
 
@@ -253,15 +246,10 @@ def select_fine_indices(scores: np.ndarray, cfg: PsaConfig,
     if scores.shape != (hc * wc,):
         raise DimensionError(f"{scores.shape[0]} scores do not cover a {hc}x{wc} grid")
     chosen = ops.topk_indices(scores, cfg.k, cfg.score_threshold)
-    fine = np.empty(4 * chosen.size, dtype=np.int64)
     wf = 2 * wc
-    for rank, ci in enumerate(chosen):
-        i, j = divmod(int(ci), wc)
-        base = rank * 4
-        fine[base + 0] = (2 * i) * wf + (2 * j)
-        fine[base + 1] = (2 * i) * wf + (2 * j + 1)
-        fine[base + 2] = (2 * i + 1) * wf + (2 * j)
-        fine[base + 3] = (2 * i + 1) * wf + (2 * j + 1)
+    i, j = np.divmod(chosen, wc)
+    children = np.array([0, 1, wf, wf + 1], dtype=np.int64)
+    fine = ((2 * i * wf + 2 * j)[:, None] + children).reshape(-1)
     return TopKSelection(coarse_indices=chosen, scores=np.asarray(scores)[chosen], fine_indices=fine)
 
 
@@ -272,10 +260,11 @@ def _fine_attention(q, x_tokens, wk, wv, selection: TopKSelection, heads: int):
 
 
 def fine_attention(q, x_tokens, p: PsaParams, selection: TopKSelection, heads: int):
-    """Sparse attention over the selected fine tokens.
+    """Sparse attention of one sample over its selected fine tokens.
 
-    Keys and values reuse the coarse-stage projections ``wk``/``wv``; an
-    empty selection yields an all-zero output.
+    ``q`` is [N, d] and ``x_tokens`` the sample's [N, d] fine tokens. Keys
+    and values reuse the coarse-stage projections ``wk``/``wv``; an empty
+    selection yields an all-zero output.
     """
     if selection.fine_indices.size == 0:
         n, dim = _val(q).shape
@@ -296,7 +285,7 @@ def conv_positional_encoding(v_tokens, coarse_dims: tuple[int, int], kernel):
     channel, nearest-upsampled to the fine grid, and re-flattened.
     """
     hc, wc = coarse_dims
-    v_map = ad.tokens_to_map(v_tokens, hc, wc)
+    v_map = ad.tokens_to_map(v_tokens, hc, wc)  # [..., d, hc, wc]
     pe = ad.upsample_nearest2x(ad.depthwise_conv7x7(v_map, kernel))
     return ad.map_to_tokens(pe)
 
@@ -317,111 +306,130 @@ def self_gate(out_coarse, out_fine, p: PsaParams, cfg: PsaConfig):
 
 def _check_pair(x_map, u_map, token_dim: int):
     xs, us = _val(x_map).shape, _val(u_map).shape
-    if len(xs) != 3 or len(us) != 3:
-        raise DimensionError(f"expected [C, H, W] maps, got {xs} and {us}")
-    if xs[0] != token_dim or us[0] != token_dim:
-        raise DimensionError(f"maps must carry {token_dim} channels, got {xs[0]} and {us[0]}")
-    if xs[1] != 2 * us[1] or xs[2] != 2 * us[2]:
+    if len(xs) < 3 or len(us) != len(xs):
+        raise DimensionError(f"expected [..., C, H, W] maps, got {xs} and {us}")
+    if xs[:-3] != us[:-3]:
+        raise DimensionError(f"fine stack {xs} and coarse stack {us} hold different batches")
+    if xs[-3] != token_dim or us[-3] != token_dim:
+        raise DimensionError(f"maps must carry {token_dim} channels, got {xs[-3]} and {us[-3]}")
+    if xs[-2] != 2 * us[-2] or xs[-1] != 2 * us[-1]:
         raise DimensionError(f"fine map {xs} is not the 2x refinement of coarse map {us}")
-    if xs[1] % 2 or xs[2] % 2:
+    if xs[-2] % 2 or xs[-1] % 2:
         raise DimensionError(f"fine extents must be even, got {xs}")
     ops.require_finite(_val(x_map), _val(u_map))
 
 
-def _psa_tail_batch(qs: list, ks: list, vs: list, x_tokens_list: list,
-                    shared_wk, shared_wv, p: PsaParams, cfg: PsaConfig,
-                    fine_dims: tuple[int, int], bn_mode: str, stat_sink,
-                    diagnostics_list: Optional[list]):
-    """Everything after the projections, over a batch of samples.
+def stack_pairs(x_maps, u_maps):
+    """Stack a list of fine maps and a list of coarse maps into one array
+    each, on the tape when an entry is recorded. Returns ``(x, u, listed)``;
+    arrays and Vars pass through unchanged with ``listed`` False."""
+    if not isinstance(x_maps, (list, tuple)):
+        return x_maps, u_maps, False
+    if len(x_maps) != len(u_maps) or not x_maps:
+        raise DimensionError(f"batch of {len(x_maps)} fine maps with {len(u_maps)} coarse maps")
+    shapes = {(_val(x).shape, _val(u).shape) for x, u in zip(x_maps, u_maps)}
+    if len(shapes) != 1:
+        raise DimensionError("all samples in a batch must share one spatial shape")
+    return ad.stack(x_maps), ad.stack(u_maps), True
 
-    Attention stages, the positional term, and the fusion run per sample;
-    the two normalization sites gather statistics across the whole batch.
-    Returns one fine-grid token matrix per sample.
+
+def _samples(lead: tuple, diagnostics: Optional[list]) -> list:
+    """One ``diagnostics`` entry per sample of a stack with leading axes
+    ``lead`` (one sample when there are none)."""
+    count = int(np.prod(lead))
+    if diagnostics is None:
+        return [None] * count
+    if len(diagnostics) != count:
+        raise DimensionError(f"{len(diagnostics)} diagnostics entries for {count} samples")
+    return list(diagnostics)
+
+
+def _psa_tail(q, k, v, x_tokens, shared_wk, shared_wv, p: PsaParams, cfg: PsaConfig,
+              fine_dims: tuple[int, int], bn_mode: str, stat_sink, diagnostics: list):
+    """Everything after the projections, over a [..., N, d] token stack.
+
+    The coarse stage, the positional term, the fusion and both normalization
+    sites run once over the stack; the normalizations gather statistics
+    across all of it. Top-k selection and the fine stage run per sample.
+    Returns the [..., N, d] fine-grid tokens.
     """
     h, w = fine_dims
     coarse_dims = (h // 2, w // 2)
     want_fine = cfg.fine_enabled and cfg.k > 0
-    diagnostics_list = diagnostics_list or [None] * len(qs)
-    if ((want_fine or any(d is not None for d in diagnostics_list))
-            and _tape_of(*qs, *ks, *vs) is not None):
+    inspect = any(d is not None for d in diagnostics)
+    if (want_fine or inspect) and _tape_of(q, k, v) is not None:
         raise ContractError(
             "fine attention and score diagnostics are inference-only; "
             "record training passes with fine_enabled=False")
 
-    outs_coarse, outs_fine = [], []
-    for q, k, v, x_tokens, diagnostics in zip(qs, ks, vs, x_tokens_list, diagnostics_list):
-        weights = (None if diagnostics is None
-                   else ops.attention_weights_buffer(_val(q), _val(k), cfg.heads))
-        out_coarse, scores = attention(q, k, v, cfg.heads, weights)
-        out_fine = None
-        if want_fine or diagnostics is not None:
-            selection = select_fine_indices(scores, cfg, coarse_dims)
-            if diagnostics is not None:
-                diagnostics.update(attention=weights, key_scores=scores, selection=selection)
+    weights = ops.attention_weights_buffer(_val(q), _val(k), cfg.heads) if inspect else None
+    out_coarse, scores = attention(q, k, v, cfg.heads, weights)
+    outs_fine = {}
+    if want_fine or inspect:
+        for idx, diag in zip(np.ndindex(*scores.shape[:-1]), diagnostics):
+            selection = select_fine_indices(scores[idx], cfg, coarse_dims)
+            if diag is not None:
+                diag.update(attention=weights[idx], key_scores=scores[idx], selection=selection)
             if want_fine and selection.fine_indices.size:
-                out_fine = _fine_attention(
-                    q, x_tokens, shared_wk, shared_wv, selection, cfg.heads)
-        outs_coarse.append(out_coarse)
-        outs_fine.append(out_fine)
+                outs_fine[idx] = _fine_attention(
+                    q[idx], x_tokens[idx], shared_wk, shared_wv, selection, cfg.heads)
 
-    positional = [conv_positional_encoding(v, coarse_dims, p.cpe_kernel) for v in vs]
-    positional = normalize_tokens(positional, p.bn_cpe, bn_mode, stat_sink)
+    if cfg.fusion_mode == "self_gating":
+        branch_fine = np.zeros_like(_val(out_coarse))
+        for idx, out_fine in outs_fine.items():
+            branch_fine[idx] = out_fine
+        gate = self_gate(out_coarse, branch_fine, p, cfg)
+        inv_gate = ad.scalar_affine(gate, -1.0, 1.0)
+        branches = ad.add(ad.mul(gate, branch_fine), ad.mul(inv_gate, out_coarse))
+    elif outs_fine:
+        # Fine attention runs only untaped, so the sum is plain arrays; a
+        # sample with nothing selected keeps its coarse output as it is.
+        branches = out_coarse.copy()
+        for idx, out_fine in outs_fine.items():
+            branches[idx] += out_fine
+    else:
+        branches = out_coarse
+    # Not held through the positional term and the output projection.
+    del out_coarse, outs_fine
 
-    projected = []
-    for out_coarse, out_fine, pos in zip(outs_coarse, outs_fine, positional):
-        if cfg.fusion_mode == "self_gating":
-            branch_fine = out_fine if out_fine is not None else np.zeros_like(_val(out_coarse))
-            gate = self_gate(out_coarse, branch_fine, p, cfg)
-            inv_gate = ad.scalar_affine(gate, -1.0, 1.0)
-            branches = ad.add(ad.mul(gate, branch_fine), ad.mul(inv_gate, out_coarse))
-        else:
-            branches = out_coarse if out_fine is None else ad.add(out_coarse, out_fine)
-        fused = ad.add(branches, pos)
-        projected.append(_project(fused, p.wo))
-    return normalize_tokens(projected, p.bn_out, bn_mode, stat_sink)
+    positional = normalize_tokens(conv_positional_encoding(v, coarse_dims, p.cpe_kernel),
+                                  p.bn_cpe, bn_mode, stat_sink)
+    fused = ad.add(branches, positional)
+    return normalize_tokens(_project(fused, p.wo), p.bn_out, bn_mode, stat_sink)
 
 
 def psa_forward(x_map, u_map, p: PsaParams, cfg: PsaConfig, *,
                 bn_mode: str = "infer", stat_sink: Optional[list] = None,
                 diagnostics: Optional[dict] = None):
-    """:func:`psa_forward_batch` on one sample: one map, one ``diagnostics`` dict."""
-    return psa_forward_batch([x_map], [u_map], p, cfg, bn_mode=bn_mode, stat_sink=stat_sink,
-                             diagnostics=[diagnostics])[0]
+    """:func:`psa_forward_batch` on one bare [d, H, W] map and one
+    ``diagnostics`` dict."""
+    return psa_forward_batch(x_map, u_map, p, cfg, bn_mode=bn_mode, stat_sink=stat_sink,
+                             diagnostics=[diagnostics])
 
 
-def psa_forward_batch(x_maps: list, u_maps: list, p: PsaParams, cfg: PsaConfig, *,
+def psa_forward_batch(x_maps, u_maps, p: PsaParams, cfg: PsaConfig, *,
                       bn_mode: str = "infer", stat_sink: Optional[list] = None,
-                      diagnostics: Optional[list] = None) -> list:
-    """Run one attention block over each fine map and its 2x coarser partner.
+                      diagnostics: Optional[list] = None):
+    """Run one attention block over fine maps and their 2x coarser partners.
 
-    Returns one [token_dim, H, W] map per sample. All samples share one
-    spatial shape; the normalization sites gather statistics across them.
+    ``x_maps`` is a [..., d, H, W] stack and ``u_maps`` the matching
+    [..., d, H/2, W/2] stack, which returns a [..., d, H, W] stack; or both
+    are lists of single maps sharing one shape, which returns a list. The
+    normalization sites gather statistics across every sample.
     ``diagnostics``, when given, holds one dict or None per sample, which
-    receives its attention stack, key scores, and selection. A non-finite
+    receives its attention weights, key scores, and selection. A non-finite
     value in any map raises :class:`NumericError`.
     """
-    if len(x_maps) != len(u_maps) or not x_maps:
-        raise DimensionError(f"batch of {len(x_maps)} fine maps with {len(u_maps)} coarse maps")
-    if diagnostics is not None and len(diagnostics) != len(x_maps):
-        raise DimensionError(f"{len(diagnostics)} diagnostics entries for {len(x_maps)} samples")
-    shapes = {(_val(x).shape, _val(u).shape) for x, u in zip(x_maps, u_maps)}
-    if len(shapes) != 1:
-        raise DimensionError("all samples in a batch must share one spatial shape")
-    for x_map, u_map in zip(x_maps, u_maps):
-        _check_pair(x_map, u_map, cfg.token_dim)
-    h, w = _val(x_maps[0]).shape[1:]
-    x_tokens_list, qs, ks, vs = [], [], [], []
-    for x_map, u_map in zip(x_maps, u_maps):
-        x_tokens = ad.map_to_tokens(x_map)
-        u_tokens = ad.map_to_tokens(u_map)
-        q, k, v = project_qkv(x_tokens, u_tokens, p)
-        x_tokens_list.append(x_tokens)
-        qs.append(q)
-        ks.append(k)
-        vs.append(v)
-    outs = _psa_tail_batch(qs, ks, vs, x_tokens_list, p.wk, p.wv, p, cfg, (h, w),
-                           bn_mode, stat_sink, diagnostics)
-    return [ad.tokens_to_map(out, h, w) for out in outs]
+    x, u, listed = stack_pairs(x_maps, u_maps)
+    _check_pair(x, u, cfg.token_dim)
+    diagnostics = _samples(_val(x).shape[:-3], diagnostics)
+    h, w = _val(x).shape[-2:]
+    x_tokens = ad.map_to_tokens(x)
+    q, k, v = project_qkv(x_tokens, ad.map_to_tokens(u), p)
+    out = _psa_tail(q, k, v, x_tokens, p.wk, p.wv, p, cfg, (h, w),
+                    bn_mode, stat_sink, diagnostics)
+    maps = ad.tokens_to_map(out, h, w)
+    return ad.unstack(maps) if listed else maps
 
 
 def psa_stack_forward(x_map, u_map, params: list[PsaParams], cfg: PsaConfig, *,
@@ -439,7 +447,7 @@ def psa_stack_forward(x_map, u_map, params: list[PsaParams], cfg: PsaConfig, *,
     if len(params) != cfg.stack_depth:
         raise DimensionError(
             f"stack_depth {cfg.stack_depth} needs as many parameter bundles, got {len(params)}")
-    h, w = _val(x_map).shape[1:]
+    h, w = _val(x_map).shape[-2:]
     x_tokens = ad.map_to_tokens(x_map)
     u_tokens = ad.map_to_tokens(u_map)
     first = params[0]
@@ -452,8 +460,8 @@ def psa_stack_forward(x_map, u_map, params: list[PsaParams], cfg: PsaConfig, *,
     stage_maps = []
     for p in params:
         q = _project(source, p.wq)
-        out = _psa_tail_batch([q], [k], [v], [x_tokens], first.wk, first.wv, p, cfg, (h, w),
-                              bn_mode, stat_sink, None)[0]
+        out = _psa_tail(q, k, v, x_tokens, first.wk, first.wv, p, cfg, (h, w),
+                        bn_mode, stat_sink, [None])
         if debug_sink is not None:
             debug_sink["stage_kv"].append((k, v))
             debug_sink["stage_outputs"].append(out)

@@ -4,7 +4,9 @@ Both inputs are first projected to the shared token width and normalized.
 The attention core fuses them, a two-layer pointwise MLP with a residual
 connection refines the result, and a final projection over the raw fine
 input concatenated with the refined tokens doubles the channel count.
-:func:`pst_forward` is :func:`pst_forward_batch` on a one-sample list.
+:func:`pst_forward_batch` runs the block once over a ``[B, C, H, W]`` stack
+(a list of maps is stacked on entry and unstacked on exit);
+:func:`pst_forward` is the same body on a bare ``[C, H, W]`` map.
 
 ``param_count`` enumerates every learnable tensor of the block and checks
 the ledger against the closed form ``10*d^2 + (c_up + 3*c + 61)*d`` for
@@ -22,7 +24,7 @@ from . import autodiff as ad
 from . import tensor_ops as ops
 from .errors import AccountingError, ContractError, DimensionError
 from .params import BatchNormState, kaiming, named_arrays
-from .psa import PsaConfig, PsaParams, normalize_maps, psa_forward_batch
+from .psa import PsaConfig, PsaParams, normalize_maps, psa_forward_batch, stack_pairs
 
 _SIZE_FACTORS = {"N": 1, "S": 2, "M": 4}
 
@@ -96,46 +98,50 @@ class PstParams:
 def pst_forward(x_raw, u_raw, p: PstParams, cfg: PstConfig, *,
                 bn_mode: str = "infer", stat_sink: Optional[list] = None,
                 diagnostics: Optional[dict] = None):
-    """:func:`pst_forward_batch` on one sample: one map, one ``diagnostics`` dict."""
-    return pst_forward_batch([x_raw], [u_raw], p, cfg, bn_mode=bn_mode, stat_sink=stat_sink,
-                             diagnostics=[diagnostics])[0]
+    """:func:`pst_forward_batch` on one bare [C, H, W] map and one
+    ``diagnostics`` dict."""
+    return pst_forward_batch(x_raw, u_raw, p, cfg, bn_mode=bn_mode, stat_sink=stat_sink,
+                             diagnostics=[diagnostics])
 
 
-def pst_forward_batch(x_raws: list, u_raws: list, p: PstParams, cfg: PstConfig, *,
+def pst_forward_batch(x_raws, u_raws, p: PstParams, cfg: PstConfig, *,
                       bn_mode: str = "infer", stat_sink: Optional[list] = None,
-                      diagnostics: Optional[list] = None) -> list:
-    """Fuse each raw fine map with its raw 2x coarser partner.
+                      diagnostics: Optional[list] = None):
+    """Fuse raw fine maps with their raw 2x coarser partners.
 
-    Returns one ``[2 * token_dim, H, W]`` map per sample; every normalization
-    site gathers statistics across the batch. ``diagnostics`` is passed to
-    :func:`pst.psa.psa_forward_batch`. A non-finite input raises
+    ``x_raws`` is a [..., C, H, W] stack and ``u_raws`` the matching
+    [..., C_up, H/2, W/2] stack, which returns a [..., 2 * token_dim, H, W]
+    stack; or both are lists of single maps, which returns a list. Every
+    normalization site gathers statistics across the batch. ``diagnostics``
+    is passed to :func:`pst.psa.psa_forward_batch`. A non-finite input raises
     :class:`NumericError`.
     """
-    if len(x_raws) != len(u_raws) or not x_raws:
-        raise DimensionError(f"batch of {len(x_raws)} fine maps with {len(u_raws)} coarse maps")
+    x, u, listed = stack_pairs(x_raws, u_raws)
     if cfg.psa.stack_depth != 1:
         raise ContractError("the fusion block runs a single attention stage; "
                             "stacking is a standalone ablation")
-    for x_raw, u_raw in zip(x_raws, u_raws):
-        xs, us = ad._val(x_raw).shape, ad._val(u_raw).shape
-        if len(xs) != 3 or xs[0] != cfg.fine_channels:
-            raise DimensionError(f"fine input {xs} does not carry {cfg.fine_channels} channels")
-        if len(us) != 3 or us[0] != cfg.coarse_channels:
-            raise DimensionError(f"coarse input {us} does not carry {cfg.coarse_channels} channels")
-        if xs[1] != 2 * us[1] or xs[2] != 2 * us[2]:
-            raise DimensionError(f"fine map {xs} is not the 2x refinement of coarse map {us}")
-        ops.require_finite(ad._val(x_raw), ad._val(u_raw))
+    xs, us = ad._val(x).shape, ad._val(u).shape
+    if len(xs) < 3 or xs[-3] != cfg.fine_channels:
+        raise DimensionError(f"fine input {xs} does not carry {cfg.fine_channels} channels")
+    if len(us) != len(xs) or us[-3] != cfg.coarse_channels:
+        raise DimensionError(f"coarse input {us} does not carry {cfg.coarse_channels} channels")
+    if xs[:-3] != us[:-3]:
+        raise DimensionError(f"fine stack {xs} and coarse stack {us} hold different batches")
+    if xs[-2] != 2 * us[-2] or xs[-1] != 2 * us[-1]:
+        raise DimensionError(f"fine map {xs} is not the 2x refinement of coarse map {us}")
+    ops.require_finite(ad._val(x), ad._val(u))
 
-    xs = normalize_maps([ad.conv1x1(x, p.in_conv_x) for x in x_raws], p.bn_x, bn_mode, stat_sink)
-    us = normalize_maps([ad.conv1x1(u, p.in_conv_u) for u in u_raws], p.bn_u, bn_mode, stat_sink)
-    maps = psa_forward_batch(xs, us, p.psa, cfg.psa, bn_mode=bn_mode, stat_sink=stat_sink,
-                             diagnostics=diagnostics)
-    for i, x_raw in enumerate(x_raws):
-        # Replaced in place, so each attention output is freed once refined.
-        hidden = ad.silu(ad.conv1x1(maps[i], p.mlp_expand))
-        maps[i] = ad.add(maps[i], ad.conv1x1(hidden, p.mlp_project))
-        maps[i] = ad.conv1x1(ad.concat_channels(x_raw, maps[i]), p.end_conv)
-    return normalize_maps(maps, p.bn_end, bn_mode, stat_sink)
+    m = psa_forward_batch(
+        normalize_maps(ad.conv1x1(x, p.in_conv_x), p.bn_x, bn_mode, stat_sink),
+        normalize_maps(ad.conv1x1(u, p.in_conv_u), p.bn_u, bn_mode, stat_sink),
+        p.psa, cfg.psa, bn_mode=bn_mode, stat_sink=stat_sink, diagnostics=diagnostics)
+    # Rebound at each step, so the attention output is freed once refined.
+    hidden = ad.silu(ad.conv1x1(m, p.mlp_expand))
+    m = ad.add(m, ad.conv1x1(hidden, p.mlp_project))
+    del hidden
+    m = ad.conv1x1(ad.concat_channels(x, m), p.end_conv)
+    out = normalize_maps(m, p.bn_end, bn_mode, stat_sink)
+    return ad.unstack(out) if listed else out
 
 
 # --- parameter accounting ------------------------------------------------------

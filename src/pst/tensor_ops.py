@@ -2,9 +2,15 @@
 
 Shape conventions used throughout the package:
 
-* feature map: float array of shape ``[C, H, W]``
-* token matrix: float array of shape ``[N, d]``, flattened row-major from a
-  grid, so token ``t`` of an ``H x W`` map sits at ``(t // W, t % W)``
+* feature map: float array of shape ``[..., C, H, W]``
+* token matrix: float array of shape ``[..., N, d]``, flattened row-major
+  from a grid, so token ``t`` of an ``H x W`` map sits at ``(t // W, t % W)``
+
+The leading ``...`` axes are the batch: one stacked array carries every
+sample, and a bare ``[C, H, W]`` map or ``[N, d]`` matrix is the no-batch
+case. Every op acts on each sample alone, and a sample of a stack gives the
+same bytes as the sample on its own; batch normalization in train mode is
+the one op that mixes samples, through its statistics.
 
 Operations are pure. Inputs are never mutated; batch normalization returns
 updated running statistics instead of writing them in place. Computation
@@ -47,10 +53,10 @@ def require_finite(*arrays: np.ndarray) -> None:
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of two rank-2 arrays."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"matmul expects rank-2 operands, got {a.shape} x {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    """Product of a ``[..., n, k]`` stack and a rank-2 ``[k, m]`` matrix."""
+    if a.ndim < 2 or b.ndim != 2:
+        raise DimensionError(f"matmul expects [..., n, k] x [k, m] operands, got {a.shape} x {b.shape}")
+    if a.shape[-1] != b.shape[0]:
         raise DimensionError(f"matmul inner extents differ: {a.shape} x {b.shape}")
     return _checked(a @ b)
 
@@ -65,20 +71,21 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
 
 
 def split_heads(t: np.ndarray, heads: int) -> np.ndarray:
-    """View a [L, heads*d_head] token matrix as [heads, L, d_head]; no copy."""
+    """View a [..., L, heads*d_head] token matrix as [..., heads, L, d_head];
+    no copy."""
     if heads == 1:
-        return t[None]
-    rows, dim = t.shape
-    return t.reshape(rows, heads, dim // heads).transpose(1, 0, 2)
+        return t[..., None, :, :]
+    *lead, rows, dim = t.shape
+    return t.reshape(*lead, rows, heads, dim // heads).swapaxes(-3, -2)
 
 
 def merge_heads(t: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`split_heads`: [heads, L, d_head] to [L, heads*d_head].
-    Copies only when there is more than one head."""
-    heads, rows, d_head = t.shape
+    """Inverse of :func:`split_heads`: [..., heads, L, d_head] to
+    [..., L, heads*d_head]. Copies only when there is more than one head."""
+    *lead, heads, rows, d_head = t.shape
     if heads == 1:
-        return t[0]
-    return t.transpose(1, 0, 2).reshape(rows, heads * d_head)
+        return t[..., 0, :, :]
+    return t.swapaxes(-3, -2).reshape(*lead, rows, heads * d_head)
 
 
 # Logits held at once by one query-row tile of :func:`attention`, over all
@@ -88,96 +95,127 @@ ATTENTION_TILE_LOGITS = 1 << 20
 
 
 def attention_weights_buffer(q: np.ndarray, k: np.ndarray, heads: int) -> np.ndarray:
-    """An uninitialized [heads, N, M] array for :func:`attention` to fill."""
-    return np.empty((heads, q.shape[0], k.shape[0]), dtype=np.result_type(q, k))
+    """An uninitialized [..., heads, N, M] array for :func:`attention` to fill."""
+    return np.empty((*q.shape[:-2], heads, q.shape[-2], k.shape[-2]),
+                    dtype=np.result_type(q, k))
 
 
 def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
               weights: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Multi-head scaled dot-product attention and its key scores.
 
-    ``q`` is [N, d], ``k`` and ``v`` are [M, d]; head ``h`` owns columns
-    ``h*d/heads`` to ``(h+1)*d/heads``. Returns ``(out, scores)``: ``out`` is
-    [N, d]; ``scores`` is the float64 [M] mean post-softmax weight of each key
-    over heads and queries, which sums to one.
+    ``q`` is [..., N, d], ``k`` and ``v`` are [..., M, d] with the same
+    leading axes; head ``h`` owns columns ``h*d/heads`` to ``(h+1)*d/heads``.
+    Returns ``(out, scores)``: ``out`` is [..., N, d]; ``scores`` is the
+    float64 [..., M] mean post-softmax weight of each key over heads and
+    queries, which sums to one per sample.
 
-    The scale ``1/sqrt(d_head)`` is folded into the queries, and all heads run
-    as one batched matmul. Queries are walked in row tiles of about
-    ``ATTENTION_TILE_LOGITS`` logits; every tile sees every key, so its softmax
-    is exact. A tile is exponentiated in place after its row max is taken out;
-    its rows of ``out`` are normalized after the value product, and its column
-    sums, each row weighted by its inverse row sum, go into a float64
-    accumulator. The [heads, N, M] post-softmax weights are written to
-    ``weights`` only when that buffer is given.
+    The scale ``1/sqrt(d_head)`` is folded into the queries, and all samples
+    and heads run as one batched matmul. Queries are walked in row tiles of
+    about ``ATTENTION_TILE_LOGITS`` logits per sample; every tile sees every
+    key, so its softmax is exact. A tile is exponentiated in place after its
+    row max is taken out; its rows of ``out`` are normalized after the value
+    product, and its column sums, each row weighted by its inverse row sum,
+    go into a float64 accumulator. The [..., heads, N, M] post-softmax weights
+    are written to ``weights`` only when that buffer is given.
     """
-    if (q.ndim != 2 or k.ndim != 2 or v.shape != k.shape or k.shape[1] != q.shape[1]
-            or not k.shape[0]):
+    if (q.ndim < 2 or k.ndim != q.ndim or v.shape != k.shape or k.shape[-1] != q.shape[-1]
+            or k.shape[:-2] != q.shape[:-2] or not k.shape[-2]):
         raise DimensionError(
-            f"attention expects [N, d] queries and [M >= 1, d] keys and values, "
+            f"attention expects [..., N, d] queries and [..., M >= 1, d] keys and values, "
             f"got {q.shape}, {k.shape}, {v.shape}")
-    n, dim = q.shape
-    m = k.shape[0]
+    *lead, n, dim = q.shape
+    m = k.shape[-2]
     if heads < 1 or dim % heads:
         raise DimensionError(f"width {dim} does not split into {heads} heads")
-    if weights is not None and weights.shape != (heads, n, m):
-        raise DimensionError(f"weights buffer {weights.shape} is not {(heads, n, m)}")
+    if weights is not None and weights.shape != (*lead, heads, n, m):
+        raise DimensionError(f"weights buffer {weights.shape} is not {(*lead, heads, n, m)}")
     dtype = np.result_type(q, k, v)
     qh = split_heads(q * dtype.type(1.0 / math.sqrt(dim // heads)), heads)
-    kt = split_heads(k, heads).transpose(0, 2, 1)
+    kt = split_heads(k, heads).swapaxes(-1, -2)
     vh = split_heads(v, heads)
-    out = np.empty((n, dim), dtype=dtype)
+    out = np.empty(q.shape, dtype=dtype)
     out_h = split_heads(out, heads)
     rows = max(1, min(n, ATTENTION_TILE_LOGITS // (heads * m)))
-    buffer = np.empty((heads, rows, m), dtype=dtype)
-    colsum = np.zeros(m, dtype=np.float64)
+    buffer = np.empty((*lead, heads, rows, m), dtype=dtype)
+    colsum = np.zeros((*lead, m), dtype=np.float64)
     for lo in range(0, n, rows):
         hi = min(n, lo + rows)
-        tile = buffer[:, : hi - lo]
-        np.matmul(qh[:, lo:hi], kt, out=tile)
-        tile -= tile.max(axis=2, keepdims=True)
+        tile = buffer[..., : hi - lo, :]
+        np.matmul(qh[..., lo:hi, :], kt, out=tile)
+        tile -= tile.max(axis=-1, keepdims=True)
         np.exp(tile, out=tile)
-        inv = 1.0 / tile.sum(axis=2, keepdims=True)
-        colsum += np.matmul(inv.transpose(0, 2, 1), tile).sum(axis=(0, 1))
-        rows_out = out_h[:, lo:hi]
+        inv = 1.0 / tile.sum(axis=-1, keepdims=True)
+        colsum += np.matmul(inv.swapaxes(-1, -2), tile).sum(axis=(-3, -2))
+        rows_out = out_h[..., lo:hi, :]
         np.matmul(tile, vh, out=rows_out)
         rows_out *= inv
         if weights is not None:
-            np.multiply(tile, inv, out=weights[:, lo:hi])
+            np.multiply(tile, inv, out=weights[..., lo:hi, :])
     return _checked(out), colsum / (heads * n)
+
+
+def _require_map(name: str, x: np.ndarray) -> None:
+    if x.ndim < 3:
+        raise DimensionError(f"{name} expects a [..., C, H, W] input, got {x.shape}")
 
 
 def conv1x1(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Pointwise convolution: per-pixel linear map over channels.
 
-    ``x`` is ``[C_in, H, W]``, ``w`` is ``[C_out, C_in]``.
+    ``x`` is ``[..., C_in, H, W]``, ``w`` is ``[C_out, C_in]``.
     """
-    if x.ndim != 3:
-        raise DimensionError(f"conv1x1 expects a [C, H, W] input, got {x.shape}")
-    if w.ndim != 2 or w.shape[1] != x.shape[0]:
+    _require_map("conv1x1", x)
+    if w.ndim != 2 or w.shape[1] != x.shape[-3]:
         raise DimensionError(f"conv1x1 weight {w.shape} does not match input channels of {x.shape}")
-    c_in, h, wd = x.shape
-    out = w @ x.reshape(c_in, h * wd)
-    return _checked(out.reshape(w.shape[0], h, wd))
+    *lead, c_in, h, wd = x.shape
+    out = w @ x.reshape(*lead, c_in, h * wd)
+    return _checked(out.reshape(*lead, w.shape[0], h, wd))
 
 
 def depthwise_conv7x7(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Per-channel 7x7 spatial correlation with zero padding of 3.
 
-    ``kernel`` is ``[C, 7, 7]``; output extents equal input extents. A delta
-    kernel (1 at the center tap) reproduces the input exactly.
+    ``x`` is ``[..., C, H, W]`` and ``kernel`` is ``[C, 7, 7]``; output
+    extents equal input extents. A delta kernel (1 at the center tap)
+    reproduces the input exactly.
     """
-    if x.ndim != 3:
-        raise DimensionError(f"depthwise_conv7x7 expects a [C, H, W] input, got {x.shape}")
-    c, h, w = x.shape
+    _require_map("depthwise_conv7x7", x)
+    c, h, w = x.shape[-3:]
     if kernel.shape != (c, 7, 7):
         raise DimensionError(f"depthwise kernel {kernel.shape} does not match input {x.shape}")
-    xp = np.zeros((c, h + 6, w + 6), dtype=x.dtype)
-    xp[:, 3 : h + 3, 3 : w + 3] = x
-    out = np.zeros_like(x)
+    last = taps_channels_last(x)
+    xp = pad3(x, last)
+    out = map_buffer(x.shape, x.dtype, last)
     for u in range(7):
         for v in range(7):
-            out += kernel[:, u, v][:, None, None] * xp[:, u : u + h, v : v + w]
+            out += kernel[:, u, v][:, None, None] * xp[..., u : u + h, v : v + w]
     return _checked(out)
+
+
+def taps_channels_last(x: np.ndarray) -> bool:
+    """Whether the 49 taps over a [..., C, H, W] map run on channel-last
+    storage. Each tap is one pass over the map whose inner loop is the
+    contiguous axis, so a stack of small grids (C > 2W) runs channel-last;
+    every element sums the same products in the same order either way."""
+    return x.shape[-3] > 2 * x.shape[-1]
+
+
+def map_buffer(shape: tuple, dtype, channels_last: bool = False) -> np.ndarray:
+    """Zeros of the channel-first ``shape`` [..., C, H, W], optionally stored
+    channel-last (a strided view then)."""
+    if not channels_last:
+        return np.zeros(shape, dtype=dtype)
+    *lead, c, h, w = shape
+    return np.moveaxis(np.zeros((*lead, h, w, c), dtype=dtype), -1, -3)
+
+
+def pad3(x: np.ndarray, channels_last: bool = False) -> np.ndarray:
+    """Zero-pad the two spatial axes of a map by 3 on every side."""
+    *lead, c, h, w = x.shape
+    xp = map_buffer((*lead, c, h + 6, w + 6), x.dtype, channels_last)
+    xp[..., 3 : h + 3, 3 : w + 3] = x
+    return xp
 
 
 def batch_norm(
@@ -191,16 +229,19 @@ def batch_norm(
     channel_axis: int = 0,
     eps: float = 1e-5,
     momentum: float = 0.03,
+    batch_stats: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-channel normalization followed by a learned affine.
 
     Train mode normalizes with batch statistics taken over every non-channel
-    axis (biased variance) and returns running statistics advanced by
-    ``momentum``; infer mode normalizes with the running statistics and
-    returns them unchanged.
+    axis (biased variance, see :func:`channel_stats`) and returns running
+    statistics advanced by ``momentum``; infer mode normalizes with the
+    running statistics and returns them unchanged. ``batch_stats`` passes in
+    train-mode statistics that :func:`channel_stats` already gave for ``x``.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"batch_norm mode must be 'train' or 'infer', got {mode!r}")
+    channel_axis %= x.ndim
     channels = x.shape[channel_axis]
     for name, arr in (("gamma", gamma), ("beta", beta),
                       ("running_mean", running_mean), ("running_var", running_var)):
@@ -211,10 +252,8 @@ def batch_norm(
         raise StateCorruptionError("negative running variance")
     pshape = [1] * x.ndim
     pshape[channel_axis] = channels
-    reduce_axes = tuple(i for i in range(x.ndim) if i != channel_axis)
     if mode == "train":
-        mean = x.mean(axis=reduce_axes)
-        var = x.var(axis=reduce_axes)
+        mean, var = batch_stats or channel_stats(x, channel_axis)
         new_mean = (1.0 - momentum) * running_mean + momentum * mean
         new_var = (1.0 - momentum) * running_var + momentum * var
     else:
@@ -230,47 +269,70 @@ def batch_norm(
     return _checked(y), new_mean, new_var
 
 
+def channel_stats(x: np.ndarray, channel_axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel mean and biased variance over every other axis.
+
+    Reduced over the channel-last rows ``[samples * positions, C]``, the
+    layout of stacked token matrices, so a map and its tokens give the same
+    bytes. The variance takes the steps of ``rows.var(axis=0)`` from the mean
+    already at hand, and gives its bytes.
+    """
+    rows = np.moveaxis(x, channel_axis, -1).reshape(-1, x.shape[channel_axis])
+    mean = rows.mean(axis=0)
+    dev = rows - mean
+    np.multiply(dev, dev, out=dev)
+    var = dev.sum(axis=0)
+    return mean, np.true_divide(var, np.intp(rows.shape[0]), out=var, casting="unsafe")
+
+
 def upsample_nearest2x(x: np.ndarray) -> np.ndarray:
-    """Replicate each pixel of a [C, H, W] map into a 2x2 block."""
-    if x.ndim != 3:
-        raise DimensionError(f"upsample_nearest2x expects a [C, H, W] input, got {x.shape}")
-    return np.repeat(np.repeat(x, 2, axis=1), 2, axis=2)
+    """Replicate each pixel of a [..., C, H, W] map into a 2x2 block."""
+    _require_map("upsample_nearest2x", x)
+    return np.repeat(np.repeat(x, 2, axis=-2), 2, axis=-1)
 
 
 def downsample_avg2x(x: np.ndarray) -> np.ndarray:
-    """Average non-overlapping 2x2 blocks of a [C, H, W] map."""
-    if x.ndim != 3:
-        raise DimensionError(f"downsample_avg2x expects a [C, H, W] input, got {x.shape}")
-    c, h, w = x.shape
+    """Average non-overlapping 2x2 blocks of a [..., C, H, W] map.
+
+    Sums ``(x00 + x01) + (x10 + x11)`` over strided views and scales by the
+    exact 1/4: the order and the bytes of numpy's mean over the blocks of a
+    reshaped map (at every width but 2, where numpy sums the four in
+    sequence), without its slow reduction over two axes of length 2.
+    """
+    _require_map("downsample_avg2x", x)
+    h, w = x.shape[-2:]
     if h % 2 or w % 2:
         raise DimensionError(f"downsample_avg2x requires even extents, got {x.shape}")
-    return x.reshape(c, h // 2, 2, w // 2, 2).mean(axis=(2, 4))
+    out = x[..., 0::2, 0::2] + x[..., 0::2, 1::2]
+    out += x[..., 1::2, 0::2] + x[..., 1::2, 1::2]
+    out *= x.dtype.type(0.25)
+    return out
 
 
 def concat_channels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stack two feature maps along the channel axis."""
-    if a.ndim != 3 or b.ndim != 3:
-        raise DimensionError(f"concat_channels expects [C, H, W] inputs, got {a.shape}, {b.shape}")
-    if a.shape[1:] != b.shape[1:]:
-        raise DimensionError(f"concat_channels spatial extents differ: {a.shape} vs {b.shape}")
-    return np.concatenate([a, b], axis=0)
+    """Join two feature maps along the channel axis."""
+    if a.ndim < 3 or b.ndim != a.ndim:
+        raise DimensionError(f"concat_channels expects [..., C, H, W] inputs, got {a.shape}, {b.shape}")
+    if a.shape[:-3] != b.shape[:-3] or a.shape[-2:] != b.shape[-2:]:
+        raise DimensionError(f"concat_channels extents differ: {a.shape} vs {b.shape}")
+    return np.concatenate([a, b], axis=-3)
 
 
 def map_to_tokens(x: np.ndarray) -> np.ndarray:
-    """Flatten a [C, H, W] map to a [H*W, C] token matrix, row-major."""
-    if x.ndim != 3:
-        raise DimensionError(f"map_to_tokens expects a [C, H, W] input, got {x.shape}")
-    c = x.shape[0]
-    return np.ascontiguousarray(x.reshape(c, -1).T)
+    """Flatten a [..., C, H, W] map to a [..., H*W, C] token matrix, row-major."""
+    _require_map("map_to_tokens", x)
+    *lead, c, h, w = x.shape
+    return np.ascontiguousarray(x.reshape(*lead, c, h * w).swapaxes(-1, -2))
 
 
 def tokens_to_map(t: np.ndarray, h: int, w: int) -> np.ndarray:
     """Inverse of :func:`map_to_tokens` for the given grid extents."""
-    if t.ndim != 2:
-        raise DimensionError(f"tokens_to_map expects a [N, d] input, got {t.shape}")
-    if t.shape[0] != h * w:
-        raise DimensionError(f"token count {t.shape[0]} does not match grid {h}x{w}")
-    return np.ascontiguousarray(t.T).reshape(t.shape[1], h, w)
+    if t.ndim < 2:
+        raise DimensionError(f"tokens_to_map expects a [..., N, d] input, got {t.shape}")
+    *lead, n, d = t.shape
+    if n != h * w:
+        raise DimensionError(f"token count {n} does not match grid {h}x{w}")
+    return np.ascontiguousarray(t.swapaxes(-1, -2)).reshape(*lead, d, h, w)
 
 
 def gather_rows(t: np.ndarray, indices) -> np.ndarray:
@@ -309,14 +371,18 @@ def topk_indices(scores: np.ndarray, k: int, threshold: float) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function, in one pass.
+    """Numerically stable logistic function, without masked branches.
 
-    ``exp`` sees ``-x`` where ``x >= 0`` and ``x`` elsewhere, so it never
-    overflows; ``-|x|`` would flip the sign bit of a NaN.
+    ``exp`` sees ``min(x, -x)``, so it never overflows; the minimum keeps the
+    NaN of ``x`` itself, where ``-|x|`` would flip the sign bit of a NaN.
     """
-    pos = x >= 0
-    e = np.exp(np.where(pos, -x, x))
-    return _checked(np.where(pos, x.dtype.type(1), e) / (1 + e))
+    e = np.negative(x)
+    np.minimum(x, e, out=e)
+    np.exp(e, out=e)
+    den = e + 1
+    out = np.where(x >= 0, x.dtype.type(1), e)
+    np.divide(out, den, out=out)
+    return _checked(out)
 
 
 def silu(x: np.ndarray) -> np.ndarray:

@@ -62,9 +62,8 @@ def _case_depthwise(rng):
     return params, lambda p: _probe_loss(ad.depthwise_conv7x7(p["x"], p["k"]), r)
 
 
-def _bn_case(mode, channel_axis):
+def _bn_case(mode, channel_axis, shape):
     def make(rng):
-        shape = (3, 4, 4) if channel_axis == 0 else (8, 3)
         params = {
             "x": rng.standard_normal(shape),
             "gamma": 1.0 + 0.1 * rng.standard_normal(3),
@@ -127,16 +126,24 @@ def _case_concat_cols(rng):
     return params, lambda p: _probe_loss(ad.concat_cols([p["a"], p["b"]]), r)
 
 
-def _case_row_slice(rng):
-    params = {"t": rng.standard_normal((6, 3))}
-    r = rng.standard_normal((2, 3))
-    return params, lambda p: _probe_loss(ad.row_slice(p["t"], 2, 4), r)
+def _case_stack(rng):
+    params = {"a": rng.standard_normal((2, 3)), "b": rng.standard_normal((2, 3))}
+    r = rng.standard_normal((3, 2, 3))
+    return params, lambda p: _probe_loss(ad.stack([p["a"], p["b"], p["a"]]), r)
 
 
-def _case_concat_rows(rng):
-    params = {"a": rng.standard_normal((2, 3)), "b": rng.standard_normal((4, 3))}
-    r = rng.standard_normal((6, 3))
-    return params, lambda p: _probe_loss(ad.concat_rows([p["a"], p["b"]]), r)
+def _case_unstack(rng):
+    params = {"t": rng.standard_normal((3, 2, 4))}
+    rs = rng.standard_normal((3, 2, 4))
+
+    def build(p):
+        parts = ad.unstack(p["t"])
+        total = _probe_loss(parts[0], rs[0])
+        for part, r in zip(parts[1:], rs[1:]):
+            total = ad.add(total, _probe_loss(part, r))
+        return total
+
+    return params, build
 
 
 def _case_add_bias(rng):
@@ -186,11 +193,38 @@ def _case_cross_entropy(rng):
     return params, lambda p: ad.cross_entropy(p["logits"], 3)
 
 
-def _attention_case(heads):
+def _batched(op, *shapes, **kwargs):
+    """Gradcheck case of ``op`` with one operand per shape, the shapes
+    carrying leading batch axes, and a probe over the output."""
     def make(rng):
-        params = {"q": rng.standard_normal((5, 4)), "k": rng.standard_normal((3, 4)),
-                  "v": rng.standard_normal((3, 4))}
-        r = rng.standard_normal((5, 4))
+        params = {name: rng.standard_normal(s) for name, s in zip("abc", shapes)}
+        r = rng.standard_normal(np.shape(op(*params.values(), **kwargs)))
+        return params, lambda p: _probe_loss(op(*p.values(), **kwargs), r)
+
+    return make
+
+
+def _case_cross_entropy_batched(rng):
+    params = {"logits": rng.standard_normal((2, 3, 5))}
+    labels = np.array([[0, 4, 2], [3, 3, 1]])
+    r = rng.standard_normal((2, 3))
+    return params, lambda p: _probe_loss(ad.cross_entropy(p["logits"], labels), r)
+
+
+def _case_gather_rows_batched_source(rng):
+    # The fine stage gathers from one sample of a stack.
+    params = {"t": rng.standard_normal((2, 5, 3))}
+    idx = np.array([4, 0, 4])
+    r = rng.standard_normal((3, 3))
+    return params, lambda p: _probe_loss(ad.gather_rows(ad.unstack(p["t"])[1], idx), r)
+
+
+def _attention_case(heads, lead=()):
+    def make(rng):
+        params = {"q": rng.standard_normal((*lead, 5, 4)),
+                  "k": rng.standard_normal((*lead, 3, 4)),
+                  "v": rng.standard_normal((*lead, 3, 4))}
+        r = rng.standard_normal((*lead, 5, 4))
 
         def build(p):
             out, _ = ad.attention(p["q"], p["k"], p["v"], heads)
@@ -212,10 +246,10 @@ OP_CASES = {
     "attention_heads2": _attention_case(2),
     "conv1x1": _case_conv1x1,
     "depthwise_conv7x7": _case_depthwise,
-    "batch_norm_train_map": _bn_case("train", 0),
-    "batch_norm_infer_map": _bn_case("infer", 0),
-    "batch_norm_train_tokens": _bn_case("train", 1),
-    "batch_norm_infer_tokens": _bn_case("infer", 1),
+    "batch_norm_train_map": _bn_case("train", 0, (3, 4, 4)),
+    "batch_norm_infer_map": _bn_case("infer", 0, (3, 4, 4)),
+    "batch_norm_train_tokens": _bn_case("train", 1, (8, 3)),
+    "batch_norm_infer_tokens": _bn_case("infer", 1, (8, 3)),
     "upsample_nearest2x": _case_upsample,
     "downsample_avg2x": _case_downsample,
     "concat_channels": _case_concat_channels,
@@ -223,8 +257,8 @@ OP_CASES = {
     "tokens_to_map": _case_tokens_to_map,
     "gather_rows": _case_gather_rows,
     "concat_cols": _case_concat_cols,
-    "row_slice": _case_row_slice,
-    "concat_rows": _case_concat_rows,
+    "stack": _case_stack,
+    "unstack": _case_unstack,
     "add_bias": _case_add_bias,
     "linear": _case_linear,
     "silu": _case_silu,
@@ -233,6 +267,31 @@ OP_CASES = {
     "sum_all": _case_sum_all,
     "mean_all": _case_mean_all,
     "cross_entropy": _case_cross_entropy,
+    # Batched forms: leading batch axes on every operand that carries them.
+    "matmul_batched": _batched(ad.matmul, (2, 3, 4), (4, 2)),
+    "attention_batched_heads1": _attention_case(1, lead=(2,)),
+    "attention_batched_heads2": _attention_case(2, lead=(2,)),
+    "conv1x1_batched": _batched(ad.conv1x1, (2, 3, 4, 4), (2, 3)),
+    "depthwise_conv7x7_batched": _batched(ad.depthwise_conv7x7, (2, 1, 4, 4), (1, 7, 7)),
+    "batch_norm_train_map_batched": _bn_case("train", -3, (2, 3, 3, 2)),
+    "batch_norm_infer_map_batched": _bn_case("infer", -3, (2, 3, 3, 2)),
+    "batch_norm_train_tokens_batched": _bn_case("train", -1, (2, 4, 3)),
+    "batch_norm_infer_tokens_batched": _bn_case("infer", -1, (2, 4, 3)),
+    "upsample_nearest2x_batched": _batched(ad.upsample_nearest2x, (2, 2, 2, 3)),
+    "downsample_avg2x_batched": _batched(ad.downsample_avg2x, (2, 2, 4, 6)),
+    "concat_channels_batched": _batched(ad.concat_channels, (2, 2, 3, 3), (2, 1, 3, 3)),
+    "map_to_tokens_batched": _batched(ad.map_to_tokens, (2, 2, 3, 4)),
+    "tokens_to_map_batched": _batched(ad.tokens_to_map, (2, 12, 2), h=3, w=4),
+    "concat_cols_batched": _batched(lambda a, b: ad.concat_cols([a, b]), (2, 3, 2), (2, 3, 4)),
+    "add_bias_batched": _batched(ad.add_bias, (2, 4, 3), (3,)),
+    "add_batched": _batched(ad.add, (2, 3, 4), (2, 3, 4)),
+    "mul_batched": _batched(ad.mul, (2, 3, 4), (2, 3, 4)),
+    "silu_batched": _batched(ad.silu, (2, 3, 4)),
+    "sigmoid_batched": _batched(ad.sigmoid, (2, 3, 4)),
+    "linear_batched": _batched(ad.linear, (2, 3, 4), (4, 3), (3,)),
+    "mean_spatial_batched": _batched(ad.mean_spatial, (2, 3, 4, 4)),
+    "cross_entropy_batched": _case_cross_entropy_batched,
+    "gather_rows_batched_source": _case_gather_rows_batched_source,
 }
 
 

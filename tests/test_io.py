@@ -164,6 +164,22 @@ class TestCheckpoints:
         with pytest.raises(FormatError, match="tensor table"):
             tio.load_checkpoint(tmp_path, p)
 
+    @pytest.mark.parametrize("text", ['{"format": "PSTT", ', "not json", "\udcff"])
+    def test_malformed_manifest_json(self, tmp_path, text):
+        _, p = self.fresh_params(10)
+        tio.save_checkpoint(tmp_path, p)
+        (tmp_path / "manifest.json").write_bytes(text.encode("utf-8", "surrogateescape"))
+        with pytest.raises(FormatError, match="not valid JSON"):
+            tio.load_checkpoint(tmp_path, p)
+
+    @pytest.mark.parametrize("text", ["[1]", '"x"', "null", "3"])
+    def test_manifest_must_be_an_object(self, tmp_path, text):
+        _, p = self.fresh_params(11)
+        tio.save_checkpoint(tmp_path, p)
+        (tmp_path / "manifest.json").write_text(text)
+        with pytest.raises(FormatError, match="not an object"):
+            tio.load_checkpoint(tmp_path, p)
+
     def test_tree_mismatch_names_both_sides(self, tmp_path):
         gate_cfg = psa.PsaConfig(token_dim=8, fusion_mode="self_gating")
         gated = psa.PsaParams.create(gate_cfg, np.random.default_rng(5), np.float32)

@@ -7,7 +7,7 @@ from pst import autodiff as ad
 from pst import networks as nets
 from pst import psa
 from pst.errors import ContractError, DimensionError
-from pst.params import learnable_arrays, named_arrays
+from pst.params import learnable_arrays, map_arrays, named_arrays
 
 
 class TestBackbone:
@@ -114,6 +114,93 @@ class TestClassifier:
         b = nets.init_train_state(cfg, 5).params
         for name, arr in named_arrays(a).items():
             assert arr.tobytes() == named_arrays(b)[name].tobytes(), name
+
+
+class TestBatchFirst:
+    """The stacked path against the one-image path it replaced."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("fine_enabled", [False, True])
+    def test_infer_logits_equal_per_image_bytes(self, dtype, fine_enabled):
+        cfg = nets.default_cls_config(fine_enabled=fine_enabled)
+        p = nets.ClsNetParams.create(cfg, np.random.default_rng(30), dtype)
+        images, _ = nets.synth_dataset(31, 64, 4)
+        images = images.astype(dtype)
+        single = [nets.cls_forward(image, p, cfg) for image in images]
+        for b in (1, 3, 64):
+            listed = nets.cls_forward_batch(list(images[:b]), p, cfg)
+            stacked = nets.cls_forward_batch(images[:b], p, cfg)
+            assert len(listed) == b and stacked.shape == (b, cfg.num_classes)
+            for i in range(b):
+                assert listed[i].tobytes() == single[i].tobytes(), (b, i)
+                assert stacked[i].tobytes() == single[i].tobytes(), (b, i)
+
+    def test_evaluate_accuracy_equals_per_image_argmax(self):
+        images, labels, state = small_train_setup(seed=32, num_classes=4, n=24)
+        for _ in range(2):
+            nets.train_step(images[:8], labels[:8], state, lr=0.05)
+        hits = sum(int(np.argmax(nets.cls_forward(image, state.params, state.cfg))) == int(label)
+                   for image, label in zip(images, labels))
+        assert nets.evaluate_accuracy(images, labels, state.params, state.cfg) == hits / 24
+
+    def test_step_tape_length_does_not_grow_with_batch(self, monkeypatch):
+        tapes = []
+
+        class RecordingTape(ad.Tape):
+            def __init__(self):
+                super().__init__()
+                tapes.append(self)
+
+        monkeypatch.setattr(nets, "Tape", RecordingTape)
+        images, labels, state = small_train_setup(seed=33, n=8)
+        for b in (1, 8):
+            nets.train_step(images[:b], labels[:b], state, lr=0.01)
+        assert len(tapes) == 2
+        assert len(tapes[0].op_names()) == len(tapes[1].op_names())
+        assert tapes[1].op_names().count("cross_entropy") == 1
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_float64_classifier_loss_gradcheck_at_batch_three(self, seed):
+        """Train-mode loss of a 3-image stack against finite differences, for
+        every learnable array of the fusion block and the head but one.
+
+        ``psa.bn_cpe.beta`` shifts the positional term per channel, which the
+        train-mode ``bn_out`` removes, so its gradient is structurally zero:
+        asserted exactly on the tape here, and left out of the finite
+        differences, which for it measure only one rounding step of the loss
+        (1.1e-11 against the checker's 1e-8 floor)."""
+        cfg = nets.default_cls_config(num_classes=3, token_dim=4)
+        p = nets.ClsNetParams.create(cfg, np.random.default_rng([34, seed]), np.float64)
+        images, labels = nets.synth_dataset(35 + seed, 3, 3)
+        images = images.astype(np.float64)
+        checked = {name: arr for name, arr in learnable_arrays(p).items()
+                   if not name.startswith("backbone.") and name != "pst.psa.bn_cpe.beta"}
+
+        def build(lifted):
+            tree = map_arrays(p, lambda name, arr, _: lifted.get(name, arr))
+            logits = nets.cls_forward_batch(images, tree, cfg, bn_mode="train")
+            return ad.mean_all(ad.cross_entropy(logits, labels))
+
+        report = ad.check_gradients(build, checked)
+        assert report.passed, report.to_text()
+        assert len(report.entries) == len(checked)
+
+        tape = ad.Tape()
+        lifted, leaves = ad.lift_tree(tape, p)
+        loss = ad.mean_all(ad.cross_entropy(
+            nets.cls_forward_batch(images, lifted, cfg, bn_mode="train"), labels))
+        table = tape.backward(loss)
+        assert np.abs(table[leaves["pst.psa.bn_cpe.beta"].vid]).max() < 1e-12
+
+    def test_listed_logits_on_a_tape_are_per_image(self):
+        cfg = nets.default_cls_config(token_dim=16)
+        p = nets.ClsNetParams.create(cfg, np.random.default_rng(36), np.float32)
+        images, _ = nets.synth_dataset(37, 3, 4)
+        tape = ad.Tape()
+        lifted, _ = ad.lift_tree(tape, p)
+        logits = nets.cls_forward_batch(list(images), lifted, cfg, bn_mode="train")
+        assert [lg.shape for lg in logits] == [(4,)] * 3
+        assert all(isinstance(lg, ad.Var) for lg in logits)
 
 
 class TestSynthDataset:

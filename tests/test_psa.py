@@ -280,6 +280,20 @@ class TestSelectFineIndices:
             assert sel.fine_indices.min() >= 0 and sel.fine_indices.max() < 64
 
 
+    def test_vectorized_expansion_matches_loop_on_non_square_grid(self):
+        hc, wc = 3, 5
+        rng = np.random.default_rng(60)
+        cfg = psa.PsaConfig(token_dim=8, k=hc * wc)
+        for _ in range(20):
+            scores = rng.uniform(size=hc * wc)
+            scores[rng.integers(0, hc * wc, size=4)] = 0.0
+            sel = psa.select_fine_indices(scores, cfg, (hc, wc))
+            expected = [f for ci in sel.coarse_indices for f in oracles.expand_2x2(ci, wc)]
+            assert sel.fine_indices.dtype == np.int64
+            assert sel.fine_indices.tolist() == expected
+            assert sel.fine_indices.max() < 4 * hc * wc
+
+
 class TestFineAttention:
     def test_empty_selection_yields_zeros(self):
         cfg = psa.PsaConfig(token_dim=8, k=0)
@@ -595,6 +609,20 @@ class TestPsaBatch:
             psa.psa_forward_batch([x1], [], p, cfg)
 
 
+    def test_stacked_arrays_in_stacked_array_out(self):
+        rng = np.random.default_rng(52)
+        pairs = [make_pair(rng, dtype=np.float32) for _ in range(3)]
+        cfg = psa.PsaConfig(token_dim=8, heads=2, k=2, fine_enabled=True)
+        p = make_params(cfg, seed=53, dtype=np.float32)
+        stacked = psa.psa_forward_batch(np.stack([x for x, _ in pairs]),
+                                        np.stack([u for _, u in pairs]), p, cfg)
+        assert stacked.shape == (3, 8, 8, 8)
+        for (x_map, u_map), out in zip(pairs, stacked):
+            assert np.array_equal(psa.psa_forward(x_map, u_map, p, cfg), out)
+        with pytest.raises(DimensionError, match="different batches"):
+            psa.psa_forward_batch(np.stack([x for x, _ in pairs]),
+                                  np.stack([u for _, u in pairs[:2]]), p, cfg)
+
     def test_batch_diagnostics_are_per_sample(self):
         rng = np.random.default_rng(50)
         pairs = [make_pair(rng) for _ in range(2)]
@@ -658,6 +686,21 @@ class TestInteractionTracking:
             with psa.track_interactions() as tally:
                 psa.psa_forward(x_map, u_map, p, cfg)
             assert tally.total == 64 * 16
+
+    @pytest.mark.parametrize("fine_enabled", [False, True])
+    def test_stack_of_three_counts_three_samples(self, fine_enabled):
+        rng = np.random.default_rng(59)
+        pairs = [make_pair(rng) for _ in range(3)]
+        cfg = psa.PsaConfig(token_dim=8, heads=2, k=2, fine_enabled=fine_enabled,
+                            score_threshold=0.0)
+        p = make_params(cfg, seed=60)
+        with psa.track_interactions() as single:
+            psa.psa_forward(*pairs[0], p, cfg)
+        with psa.track_interactions() as stacked:
+            psa.psa_forward_batch(np.stack([x for x, _ in pairs]),
+                                  np.stack([u for _, u in pairs]), p, cfg)
+        assert single.total == 64 * 16 + (64 * 8 if fine_enabled else 0)
+        assert stacked.total == 3 * single.total
 
     def test_fine_pass_adds_gathered_pairs(self):
         rng = np.random.default_rng(57)

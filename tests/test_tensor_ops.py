@@ -141,6 +141,16 @@ class TestDepthwiseConv7x7:
 
 
 class TestBatchNorm:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_stats_are_the_token_rows_mean_and_var(self, dtype):
+        """A [B, C, H, W] stack and its [B*H*W, C] token rows give the same
+        statistics, byte for byte, as numpy's mean and var over the rows."""
+        x = (np.random.default_rng(9).standard_normal((5, 3, 4, 6)) * 7 + 2).astype(dtype)
+        rows = np.concatenate([ops.map_to_tokens(m) for m in x])
+        for mean, var in (ops.channel_stats(x, 1), ops.channel_stats(rows, 1)):
+            assert mean.tobytes() == rows.mean(axis=0).tobytes()
+            assert var.tobytes() == rows.var(axis=0).tobytes()
+
     def test_identity_stats(self):
         x = np.random.default_rng(7).standard_normal((3, 4, 4))
         ones = np.ones(3)
@@ -233,6 +243,21 @@ class TestResampling:
     def test_downsample_against_block_mean(self):
         x = np.random.default_rng(13).standard_normal((2, 8, 10))
         assert np.allclose(ops.downsample_avg2x(x), oracles.downsample_blockmean(x), atol=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(3, 32, 32), (32, 16, 16, 16), (2, 5, 6, 10),
+                                       (4, 2, 16, 2, 4), (4, 2, 16, 4, 2)])
+    def test_downsample_matches_reshaped_mean(self, dtype, shape):
+        """Byte-equal to numpy's mean over the reshaped blocks, which sums
+        (x00 + x01) + (x10 + x11) at every width but 2; at width 2 it sums
+        the four in sequence, and the two agree to rounding."""
+        x = (np.random.default_rng(len(shape)).standard_normal(shape) * 30).astype(dtype)
+        *lead, c, h, w = shape
+        expected = x.reshape(*lead, c, h // 2, 2, w // 2, 2).mean(axis=(-3, -1))
+        got = ops.downsample_avg2x(x)
+        if w > 2:
+            assert got.tobytes() == expected.tobytes()
+        assert np.allclose(got, expected, rtol=0, atol=4 * np.finfo(dtype).eps * np.abs(x).max())
 
     def test_downsample_odd_extent(self):
         with pytest.raises(DimensionError):
