@@ -337,19 +337,15 @@ def batch_norm(x, gamma, beta, running_mean, running_var, *,
     xv, gv, bv = _val(x), _val(gamma), _val(beta)
     tape = _tape_of(x, gamma, beta)
     channel_axis %= xv.ndim
-    stats = ops.channel_stats(xv, channel_axis) if tape is not None and mode == "train" else None
-    y, new_mean, new_var = ops.batch_norm(
-        xv, gv, bv, running_mean, running_var, mode=mode, channel_axis=channel_axis,
-        eps=eps, momentum=momentum, batch_stats=stats)
+    y, new_mean, new_var, kept = ops._batch_norm(
+        xv, gv, bv, running_mean, running_var, mode, channel_axis, eps, momentum,
+        keep_xhat=tape is not None)
     if tape is None:
         return y, new_mean, new_var
 
-    pshape = [1] * xv.ndim
-    pshape[channel_axis] = xv.shape[channel_axis]
+    xhat, inv = kept
+    pshape = inv.shape
     reduce_axes = tuple(i for i in range(xv.ndim) if i != channel_axis)
-    mean, var = stats or (running_mean, running_var)
-    inv = 1.0 / np.sqrt(var.reshape(pshape) + eps)
-    xhat = (xv - mean.reshape(pshape)) * inv
 
     def bwd(up):
         g_beta = up.sum(axis=reduce_axes)
@@ -564,11 +560,11 @@ def linear(v, w, b):
 
 def silu(x):
     xv = _val(x)
-    s = ops.sigmoid(xv)
-    out = xv * s
     tape = _tape_of(x)
     if tape is None:
-        return out
+        return ops.silu(xv)
+    s = ops.sigmoid(xv)
+    out = xv * s
 
     def bwd(up):
         g = 1.0 - s

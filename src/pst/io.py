@@ -9,7 +9,7 @@ the byte offset of the first inconsistency.
 A checkpoint is a directory with one tensor file per named parameter or
 buffer plus a ``manifest.json`` mapping names to files. The manifest
 stores no configuration, so toggling runtime behavior never changes a
-checkpoint's digest.
+checkpoint's digest. A save replaces the directory whole.
 """
 
 from __future__ import annotations
@@ -17,12 +17,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import shutil
+import stat
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, FormatError
+from .errors import ContractError, DimensionError, FormatError
 from .params import assign_arrays, named_arrays
 
 MAGIC = b"PSTT"
@@ -89,24 +92,64 @@ def _file_for(name: str) -> str:
 
 
 def save_checkpoint(directory, params) -> dict:
-    """Write every named array of ``params`` and a manifest. Returns the manifest."""
+    """Write every named array of ``params`` and a manifest. Returns the manifest.
+
+    The directory is replaced whole. The files are written into a new
+    sibling directory; the previous directory is then renamed aside, the new
+    one renamed into its place, and the previous one removed, so a file an
+    earlier save left there does not survive. If writing fails, the sibling
+    is removed and the previous checkpoint stays as it was. A symlink to a
+    directory keeps pointing at the replaced directory. Nothing is flushed
+    to the disk: this guards against a failed or interrupted save, not
+    against power loss.
+
+    A directory holding anything but ``manifest.json`` and ``.pstt`` files
+    is not a checkpoint: it raises :class:`FormatError` and is left alone.
+    The working directory raises :class:`ContractError`, since replacing it
+    would leave the process in a removed directory.
+    """
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
-    entries = {}
-    for name, arr in named_arrays(params).items():
-        filename = _file_for(name)
-        save_tensor(root / filename, arr)
-        entries[name] = filename
-    manifest = {"format": MAGIC.decode(), "version": VERSION, "tensors": entries}
-    (root / MANIFEST_NAME).write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+    root = root.resolve()
+    if root == Path.cwd():
+        raise ContractError(f"{root} is the working directory; save the checkpoint elsewhere")
+    for path in root.iterdir():
+        if (path.is_symlink() or not path.is_file()
+                or (path.name != MANIFEST_NAME and path.suffix != ".pstt")):
+            raise FormatError(f"{root} holds {path.name!r}, which no checkpoint writes; "
+                              "not replacing it")
+    staging = Path(tempfile.mkdtemp(prefix=f".{root.name}.", dir=root.parent))
+    try:
+        entries = {}
+        for name, arr in named_arrays(params).items():
+            filename = _file_for(name)
+            save_tensor(staging / filename, arr)
+            entries[name] = filename
+        manifest = {"format": MAGIC.decode(), "version": VERSION, "tensors": entries}
+        (staging / MANIFEST_NAME).write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+        staging.chmod(stat.S_IMODE(root.stat().st_mode))
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
+    aside = staging.with_name(staging.name + ".old")
+    root.rename(aside)
+    try:
+        staging.rename(root)
+    except BaseException:
+        aside.rename(root)
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
+    shutil.rmtree(aside)
     return manifest
 
 
 def _tensor_path(root: Path, name: str, filename) -> Path:
-    """The file a manifest entry names: a plain file directly inside ``root``."""
-    path = root / filename if isinstance(filename, str) else root
-    if path.parent != root or path.name != filename or path.is_symlink() or not path.is_file():
-        raise FormatError(f"manifest entry {name!r} names {filename!r}, not a plain file in {root}")
+    """The file a manifest entry names: the one a save writes for ``name``,
+    a plain file directly inside ``root``."""
+    path = root / _file_for(name)
+    if filename != path.name or path.is_symlink() or not path.is_file():
+        raise FormatError(
+            f"manifest entry {name!r} names {filename!r}, not the plain file {path.name!r} in {root}")
     return path
 
 
@@ -114,8 +157,10 @@ def load_checkpoint(directory, params) -> None:
     """Fill ``params`` in place from a checkpoint directory.
 
     A manifest that is not a JSON object raises :class:`FormatError`, and so
-    does an entry that is not a plain file directly inside the directory (a
-    path, a symlink or a non-string).
+    does one whose format is not ``PSTT`` or whose version is not the
+    integer 1, and an entry other than the file a save writes for its name,
+    as a plain file directly inside the directory (a path, a symlink,
+    another tensor's file or a non-string).
     """
     root = Path(directory)
     manifest_path = root / MANIFEST_NAME
@@ -127,8 +172,11 @@ def load_checkpoint(directory, params) -> None:
         raise FormatError(f"{MANIFEST_NAME} in {root} is not valid JSON: {exc}") from None
     if not isinstance(manifest, dict):
         raise FormatError(f"{MANIFEST_NAME} in {root} holds {type(manifest).__name__}, not an object")
-    if manifest.get("version") != VERSION:
-        raise FormatError(f"unsupported checkpoint version {manifest.get('version')}")
+    if manifest.get("format") != MAGIC.decode():
+        raise FormatError(f"checkpoint format {manifest.get('format')!r} is not {MAGIC.decode()!r}")
+    version = manifest.get("version")
+    if type(version) is not int or version != VERSION:
+        raise FormatError(f"unsupported checkpoint version {version!r}")
     entries = manifest.get("tensors")
     if not isinstance(entries, dict):
         raise FormatError("manifest has no tensor table")

@@ -308,12 +308,23 @@ def train_step(images: np.ndarray, labels: np.ndarray, state: TrainState,
     return loss_value
 
 
+# Images per infer-mode forward of evaluate_accuracy. Each image's logits are
+# the bytes it gets alone, so the slice bounds the activations held at once
+# without changing a result.
+EVAL_SLICE = 64
+
+
 def evaluate_accuracy(images: np.ndarray, labels: np.ndarray,
                       params: ClsNetParams, cfg: ClsConfig) -> float:
-    """Share of images whose largest logit is their label, from one batched
-    infer-mode forward over the [B, 3, 32, 32] stack."""
-    logits = cls_forward_batch(np.asarray(images), params, cfg)
-    return int((np.argmax(logits, axis=-1) == np.asarray(labels)).sum()) / len(images)
+    """Share of images whose largest logit is their label, from batched
+    infer-mode forwards over slices of ``EVAL_SLICE`` images of the
+    [B, 3, 32, 32] stack."""
+    images, labels = np.asarray(images), np.asarray(labels)
+    hits = 0
+    for lo in range(0, len(images), EVAL_SLICE):
+        logits = cls_forward_batch(images[lo:lo + EVAL_SLICE], params, cfg)
+        hits += int((np.argmax(logits, axis=-1) == labels[lo:lo + EVAL_SLICE]).sum())
+    return hits / len(images)
 
 
 @dataclass

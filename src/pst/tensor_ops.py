@@ -187,9 +187,14 @@ def depthwise_conv7x7(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     last = taps_channels_last(x)
     xp = pad3(x, last)
     out = map_buffer(x.shape, x.dtype, last)
-    for u in range(7):
-        for v in range(7):
-            out += kernel[:, u, v][:, None, None] * xp[..., u : u + h, v : v + w]
+    # Each tap's product goes through one reused buffer in the storage order
+    # of ``out``; the same products, added in the same order.
+    prod = np.empty_like(out, dtype=np.result_type(kernel, x))
+    taps = kernel.reshape(c, 49).T.reshape(49, c, 1, 1)
+    for t, tap in enumerate(taps):
+        u, v = divmod(t, 7)
+        np.multiply(tap, xp[..., u : u + h, v : v + w], out=prod)
+        out += prod
     return _checked(out)
 
 
@@ -229,16 +234,26 @@ def batch_norm(
     channel_axis: int = 0,
     eps: float = 1e-5,
     momentum: float = 0.03,
-    batch_stats: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-channel normalization followed by a learned affine.
 
     Train mode normalizes with batch statistics taken over every non-channel
     axis (biased variance, see :func:`channel_stats`) and returns running
     statistics advanced by ``momentum``; infer mode normalizes with the
-    running statistics and returns them unchanged. ``batch_stats`` passes in
-    train-mode statistics that :func:`channel_stats` already gave for ``x``.
+    running statistics and returns them unchanged.
     """
+    y, new_mean, new_var, _ = _batch_norm(x, gamma, beta, running_mean, running_var, mode,
+                                          channel_axis, eps, momentum, keep_xhat=False)
+    return y, new_mean, new_var
+
+
+def _batch_norm(x, gamma, beta, running_mean, running_var, mode, channel_axis, eps, momentum,
+                keep_xhat: bool):
+    """:func:`batch_norm`, plus ``(xhat, inv)`` when ``keep_xhat``: the
+    standardized input ``(x - mean) * inv`` and the per-channel ``inv``,
+    which a backward rule needs. ``y = xhat * gamma + beta`` is then formed
+    in a buffer of its own instead of in x-hat's, by the same operations in
+    the same order, so ``y`` has the same bytes either way."""
     if mode not in ("train", "infer"):
         raise ValueError(f"batch_norm mode must be 'train' or 'infer', got {mode!r}")
     channel_axis %= x.ndim
@@ -253,7 +268,7 @@ def batch_norm(
     pshape = [1] * x.ndim
     pshape[channel_axis] = channels
     if mode == "train":
-        mean, var = batch_stats or channel_stats(x, channel_axis)
+        mean, var = channel_stats(x, channel_axis)
         new_mean = (1.0 - momentum) * running_mean + momentum * mean
         new_var = (1.0 - momentum) * running_var + momentum * var
     else:
@@ -262,11 +277,12 @@ def batch_norm(
         new_mean = running_mean
         new_var = running_var
     inv = 1.0 / np.sqrt(var.reshape(pshape) + eps)
-    y = x - mean.reshape(pshape)
-    y *= inv
-    y *= gamma.reshape(pshape)
+    xhat = x - mean.reshape(pshape)
+    xhat *= inv
+    g = gamma.reshape(pshape)
+    y = xhat * g if keep_xhat else np.multiply(xhat, g, out=xhat)
     y += beta.reshape(pshape)
-    return _checked(y), new_mean, new_var
+    return _checked(y), new_mean, new_var, ((xhat, inv) if keep_xhat else None)
 
 
 def channel_stats(x: np.ndarray, channel_axis: int) -> tuple[np.ndarray, np.ndarray]:
@@ -375,16 +391,20 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
     ``exp`` sees ``min(x, -x)``, so it never overflows; the minimum keeps the
     NaN of ``x`` itself, where ``-|x|`` would flip the sign bit of a NaN.
+    The numerator ``max(e, x >= 0)`` is the select ``1 if x >= 0 else e``:
+    where ``x >= 0``, ``e = exp(-x)`` is at most 1; elsewhere ``e`` is at
+    least 0, and a NaN ``e`` wins the maximum.
     """
     e = np.negative(x)
     np.minimum(x, e, out=e)
     np.exp(e, out=e)
     den = e + 1
-    out = np.where(x >= 0, x.dtype.type(1), e)
-    np.divide(out, den, out=out)
-    return _checked(out)
+    np.maximum(e, x >= 0, out=e, dtype=x.dtype)
+    np.divide(e, den, out=e)
+    return _checked(e)
 
 
 def silu(x: np.ndarray) -> np.ndarray:
-    """x * sigmoid(x)."""
-    return _checked(x * sigmoid(x))
+    """x * sigmoid(x), formed in the sigmoid's buffer."""
+    s = sigmoid(x)
+    return _checked(np.multiply(x, s, out=s))

@@ -163,6 +163,83 @@ def sigmoid_direct(x):
     return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
 
 
+# --- byte-equality references ------------------------------------------------
+#
+# The kernels below are written as the textbook formula in the input's own
+# dtype, operation for operation in the order the library's fast kernels
+# must reproduce, so a test can ask for equal bytes rather than closeness.
+
+
+def sigmoid_two_branch(x):
+    """``1 / (1 + exp(-x))`` where ``x >= 0``, ``exp(x) / (1 + exp(x))``
+    elsewhere (NaN included), through a boolean mask."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def silu_two_branch(x):
+    return x * sigmoid_two_branch(x)
+
+
+def silu_grad_direct(x, up):
+    """``up * d/dx x*s(x) = up * s * (1 + x * (1 - s))``, innermost first."""
+    s = sigmoid_two_branch(x)
+    return ((1.0 - s) * x + 1.0) * s * up
+
+
+def depthwise_49_taps(x, kernel):
+    """A [..., C, H, W] map correlated with [C, 7, 7] taps: the 49 shifted
+    products of a zero-padded copy, added one tap at a time in row-major
+    kernel order."""
+    *lead, c, h, w = x.shape
+    xp = np.zeros((*lead, c, h + 6, w + 6), dtype=x.dtype)
+    xp[..., 3 : h + 3, 3 : w + 3] = x
+    out = np.zeros(x.shape, dtype=x.dtype)
+    for u in range(7):
+        for v in range(7):
+            out += kernel[:, u, v][:, None, None] * xp[..., u : u + h, v : v + w]
+    return out
+
+
+def batch_norm_direct(x, gamma, beta, running_mean, running_var, up, *, mode, channel_axis,
+                      eps=1e-5, momentum=0.03):
+    """Batch normalization and its backward rule as formulas.
+
+    Returns ``(y, new_mean, new_var, gx, g_gamma, g_beta)`` for the upstream
+    gradient ``up``. Train mode takes numpy's mean and biased variance over
+    the channel-last rows; ``y = ((x - mean) * inv) * gamma + beta`` with
+    ``inv = 1 / sqrt(var + eps)``.
+    """
+    c = channel_axis % x.ndim
+    axes = tuple(i for i in range(x.ndim) if i != c)
+    shape = [1] * x.ndim
+    shape[c] = x.shape[c]
+    if mode == "train":
+        rows = np.moveaxis(x, c, -1).reshape(-1, x.shape[c])
+        mean, var = rows.mean(axis=0), rows.var(axis=0)
+        new_mean = (1.0 - momentum) * running_mean + momentum * mean
+        new_var = (1.0 - momentum) * running_var + momentum * var
+    else:
+        mean, var = running_mean, running_var
+        new_mean, new_var = running_mean, running_var
+    inv = 1.0 / np.sqrt(var.reshape(shape) + eps)
+    xhat = (x - mean.reshape(shape)) * inv
+    y = xhat * gamma.reshape(shape) + beta.reshape(shape)
+    g_beta = up.sum(axis=axes)
+    g_gamma = (up * xhat).sum(axis=axes)
+    scale = inv * gamma.reshape(shape)
+    if mode == "train":
+        n = x.size // x.shape[c]
+        gx = (up - xhat * (g_gamma / n).reshape(shape) - (g_beta / n).reshape(shape)) * scale
+    else:
+        gx = up * scale
+    return y, new_mean, new_var, gx, g_gamma, g_beta
+
+
 # --- composed references -----------------------------------------------------
 
 

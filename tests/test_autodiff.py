@@ -5,7 +5,9 @@ import inspect
 import numpy as np
 import pytest
 
+import oracles
 from pst import autodiff as ad
+from pst import tensor_ops as ops
 from pst.errors import ContractError, NumericError
 
 
@@ -312,6 +314,55 @@ def test_every_recordable_op_has_a_gradcheck_case():
                  and not name.startswith("_") and "._emit(" in inspect.getsource(fn)}
     assert {"matmul", "attention", "batch_norm", "cross_entropy"} <= recording
     assert recording <= set(OP_CASES) | {"attention", "batch_norm"}
+
+
+class TestKernelBytes:
+    """The rewritten kernels against their formulas in ``oracles``, byte for
+    byte, with and without a tape."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_silu_with_and_without_tape(self, dtype):
+        big = np.finfo(dtype).max
+        special = [0.0, -0.0, big, -big, 80.0, -80.0, 1e3, -1e3, np.inf, -np.inf, np.nan]
+        noise = np.random.default_rng(40).standard_normal(2000) * 20
+        x = np.concatenate([special, noise]).astype(dtype)
+        up = np.random.default_rng(41).standard_normal(x.shape).astype(dtype)
+        ops.set_debug_checks(False)  # the specials make non-finite products
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = oracles.silu_two_branch(x)
+            assert ad.silu(x).tobytes() == want.tobytes()
+            tape = ad.Tape()
+            xv = tape.leaf(x, requires_grad=True)
+            y = ad.silu(xv)
+            assert y.value.tobytes() == want.tobytes()
+            grad = tape.backward(ad.sum_all(ad.mul(y, up)))[xv.vid]
+            assert grad.tobytes() == oracles.silu_grad_direct(x, up).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    @pytest.mark.parametrize("shape, channel_axis", [((3, 6, 5, 4), -3), ((3, 20, 6), -1)])
+    def test_batch_norm_with_and_without_tape(self, dtype, mode, shape, channel_axis):
+        rng = np.random.default_rng(42)
+        c = shape[channel_axis]
+        x = (rng.standard_normal(shape) * 3 + 1).astype(dtype)
+        gamma, beta, mean0 = (rng.standard_normal(c).astype(dtype) for _ in range(3))
+        var0 = rng.uniform(0.5, 2.0, c).astype(dtype)
+        up = rng.standard_normal(shape).astype(dtype)
+        kw = dict(mode=mode, channel_axis=channel_axis)
+        y, new_mean, new_var, gx, g_gamma, g_beta = oracles.batch_norm_direct(
+            x, gamma, beta, mean0, var0, up, **kw)
+
+        plain = ad.batch_norm(x, gamma, beta, mean0, var0, **kw)
+        tape = ad.Tape()
+        xv, gv, bv = (tape.leaf(a, requires_grad=True) for a in (x, gamma, beta))
+        recorded = ad.batch_norm(xv, gv, bv, mean0, var0, **kw)
+        grads = tape.backward(ad.sum_all(ad.mul(recorded[0], up)))
+        for got in (plain, (recorded[0].value, *recorded[1:])):
+            for have, want in zip(got, (y, new_mean, new_var)):
+                assert have.dtype == want.dtype
+                assert have.tobytes() == want.tobytes()
+        for leaf, want in ((xv, gx), (gv, g_gamma), (bv, g_beta)):
+            assert grads[leaf.vid].tobytes() == want.tobytes()
 
 
 class TestHandGradients:

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pst import io as tio
 from pst import psa
-from pst.errors import DimensionError, FormatError
+from pst.errors import ContractError, DimensionError, FormatError
 from pst.params import named_arrays
 
 
@@ -120,6 +121,84 @@ class TestFormatErrors:
         assert exc.value.offset == len(blob) + 8
 
 
+@st.composite
+def damaged_blobs(draw):
+    """A valid tensor file, then truncated, overwritten at a few bytes or
+    given inserted bytes."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    shape = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))
+    arr = draw(hnp.arrays(dtype, tuple(shape), elements=st.floats(width=np.finfo(dtype).bits)))
+    blob = bytearray(tio.tensor_bytes(arr))
+    kind = draw(st.sampled_from(["truncate", "overwrite", "insert"]))
+    if kind == "truncate":
+        return bytes(blob[: draw(st.integers(0, len(blob) - 1))])
+    if kind == "overwrite":
+        for _ in range(draw(st.integers(1, 3))):
+            blob[draw(st.integers(0, len(blob) - 1))] = draw(st.integers(0, 255))
+    else:
+        at = draw(st.integers(0, len(blob)))
+        blob[at:at] = draw(st.binary(min_size=1, max_size=8))
+    return bytes(blob)
+
+
+class TestDamagedFiles:
+    @given(damaged_blobs())
+    def test_damaged_file_round_trips_or_raises_format_error(self, blob):
+        try:
+            arr = tio.tensor_from_bytes(blob)
+        except FormatError:
+            return
+        assert tio.tensor_bytes(arr) == blob
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def tampered_manifests(draw, manifest: dict):
+    """The text of ``manifest`` with one thing changed: the whole text, a
+    top-level field, or one entry of the tensor table."""
+    kind = draw(st.sampled_from(["bytes", "value", "field", "entry", "extra"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=40))
+    if kind == "value":
+        return json.dumps(draw(JSON_VALUES)).encode()
+    tampered = json.loads(json.dumps(manifest))
+    table = tampered["tensors"]
+    if kind == "extra":
+        table[draw(st.text(min_size=1, max_size=8).filter(lambda k: k not in table))] = \
+            draw(JSON_VALUES)
+    else:
+        owner, key = ((tampered, draw(st.sampled_from(sorted(tampered)))) if kind == "field"
+                      else (table, draw(st.sampled_from(sorted(table)))))
+        if draw(st.booleans()):
+            del owner[key]
+        else:
+            old = json.dumps(owner[key])
+            owner[key] = draw(JSON_VALUES.filter(lambda v: json.dumps(v) != old))
+    return json.dumps(tampered).encode()
+
+
+class TestTamperedManifests:
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        cfg = psa.PsaConfig(token_dim=8, k=4)
+        params = psa.PsaParams.create(cfg, np.random.default_rng(20), np.float32)
+        root = tmp_path_factory.mktemp("tampered")
+        return root, params, tio.save_checkpoint(root, params)
+
+    @given(data=st.data())
+    def test_tampered_manifest_raises(self, saved, data):
+        root, params, manifest = saved
+        text = data.draw(tampered_manifests(manifest))
+        (root / tio.MANIFEST_NAME).write_bytes(text)
+        with pytest.raises((FormatError, DimensionError)):
+            tio.load_checkpoint(root, params)
+
+
 class TestCheckpoints:
     @staticmethod
     def fresh_params(seed, fine_enabled=False):
@@ -150,12 +229,27 @@ class TestCheckpoints:
         with pytest.raises(FormatError, match="manifest.json"):
             tio.load_checkpoint(tmp_path, p)
 
+    @staticmethod
+    def assert_field_rejected(root, p, manifest, field, values):
+        for value in values:
+            tampered = dict(manifest)
+            if value is None:
+                del tampered[field]
+            else:
+                tampered[field] = value
+            (root / "manifest.json").write_text(json.dumps(tampered))
+            with pytest.raises(FormatError, match=field):
+                tio.load_checkpoint(root, p)
+
     def test_bad_manifest_version(self, tmp_path):
         _, p = self.fresh_params(3)
-        tio.save_checkpoint(tmp_path, p)
-        (tmp_path / "manifest.json").write_text('{"format": "PSTT", "version": 2}')
-        with pytest.raises(FormatError, match="version"):
-            tio.load_checkpoint(tmp_path, p)
+        manifest = tio.save_checkpoint(tmp_path, p)
+        self.assert_field_rejected(tmp_path, p, manifest, "version", [2, True, 1.0, "1", None])
+
+    def test_bad_manifest_format(self, tmp_path):
+        _, p = self.fresh_params(3)
+        manifest = tio.save_checkpoint(tmp_path, p)
+        self.assert_field_rejected(tmp_path, p, manifest, "format", ["PSTX", 1, None])
 
     def test_manifest_without_table(self, tmp_path):
         _, p = self.fresh_params(4)
@@ -190,7 +284,7 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize("entry", [
         "../evil.pstt", "sub/wq.pstt", "sub\\wq.pstt", "ABSOLUTE", "..", ".", "",
-        "missing.pstt", "link.pstt", 7, None, ["wq.pstt"]])
+        "missing.pstt", "link.pstt", 7, None, ["wq.pstt"], "wk.pstt"])
     def test_manifest_entry_must_name_a_file_inside(self, tmp_path, entry):
         _, p = self.fresh_params(9)
         root = tmp_path / "ckpt"
@@ -205,6 +299,79 @@ class TestCheckpoints:
         (root / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(FormatError, match="manifest entry 'wq'"):
             tio.load_checkpoint(root, p)
+
+    def test_save_replaces_the_directory_whole(self, tmp_path):
+        _, p = self.fresh_params(12)
+        root = tmp_path / "ckpt"
+        tio.save_checkpoint(root, p)
+        (root / "stale.pstt").write_bytes(b"left by an earlier save")
+        root.chmod(0o750)
+        tio.save_checkpoint(root, p)
+        assert sorted(x.name for x in tmp_path.iterdir()) == ["ckpt"]
+        assert not (root / "stale.pstt").exists()
+        assert root.stat().st_mode & 0o777 == 0o750
+        link = tmp_path / "latest"
+        link.symlink_to(root, target_is_directory=True)
+        p.wq[0, 0] += 1.0
+        tio.save_checkpoint(link, p)
+        assert link.is_symlink()
+        assert (root / "wq.pstt").read_bytes() == tio.tensor_bytes(p.wq)
+
+    @pytest.mark.parametrize("foreign", ["notes.txt", "sub", "link.pstt"])
+    def test_save_refuses_a_directory_holding_other_files(self, tmp_path, foreign):
+        _, p = self.fresh_params(14)
+        root = tmp_path / "ckpt"
+        tio.save_checkpoint(root, p)
+        if foreign == "sub":
+            (root / foreign).mkdir()
+        elif foreign == "link.pstt":
+            (root / foreign).symlink_to(root / "wq.pstt")
+        else:
+            (root / foreign).write_text("kept")
+        before = tio.checkpoint_digest(root)
+        with pytest.raises(FormatError, match=f"holds '{foreign}'"):
+            tio.save_checkpoint(root, p)
+        assert tio.checkpoint_digest(root) == before
+        assert (root / foreign).exists()
+        assert sorted(x.name for x in tmp_path.iterdir()) == ["ckpt"]
+
+    def test_save_refuses_the_working_directory(self, tmp_path, monkeypatch):
+        _, p = self.fresh_params(15)
+        tio.save_checkpoint(tmp_path, p)
+        before = tio.checkpoint_digest(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ContractError, match="working directory"):
+            tio.save_checkpoint(".", p)
+        assert tio.checkpoint_digest(".") == before
+
+    def test_failed_save_leaves_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        _, p = self.fresh_params(13)
+        root = tmp_path / "ckpt"
+        tio.save_checkpoint(root, p)
+        before = tio.checkpoint_digest(root)
+        saved = {name: arr.copy() for name, arr in named_arrays(p).items()}
+        calls = []
+        real_save_tensor = tio.save_tensor
+
+        def failing_save_tensor(path, arr):
+            calls.append(path)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            real_save_tensor(path, arr)
+
+        for arr in named_arrays(p).values():
+            arr += 1.0
+        monkeypatch.setattr(tio, "save_tensor", failing_save_tensor)
+        with pytest.raises(OSError, match="disk full"):
+            tio.save_checkpoint(root, p)
+        monkeypatch.undo()
+        assert len(calls) == 3
+        assert tio.checkpoint_digest(root) == before
+        assert sorted(x.name for x in tmp_path.iterdir()) == ["ckpt"]
+        _, blank = self.fresh_params(99)
+        tio.load_checkpoint(root, blank)
+        for name, arr in named_arrays(blank).items():
+            assert arr.tobytes() == saved[name].tobytes(), name
 
     def test_digest_stable_across_fine_toggle(self, tmp_path):
         _, p_off = self.fresh_params(7, fine_enabled=False)

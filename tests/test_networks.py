@@ -1,5 +1,7 @@
 """Toy networks: backbone geometry, neck wiring, classifier training."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -136,12 +138,34 @@ class TestBatchFirst:
                 assert stacked[i].tobytes() == single[i].tobytes(), (b, i)
 
     def test_evaluate_accuracy_equals_per_image_argmax(self):
-        images, labels, state = small_train_setup(seed=32, num_classes=4, n=24)
+        """At fewer images than one slice, at a partial last slice and at
+        eight whole slices."""
+        images, labels, state = small_train_setup(seed=32, num_classes=4, n=512)
         for _ in range(2):
             nets.train_step(images[:8], labels[:8], state, lr=0.05)
-        hits = sum(int(np.argmax(nets.cls_forward(image, state.params, state.cfg))) == int(label)
-                   for image, label in zip(images, labels))
-        assert nets.evaluate_accuracy(images, labels, state.params, state.cfg) == hits / 24
+        hits = np.array([int(np.argmax(nets.cls_forward(image, state.params, state.cfg)))
+                         == int(label) for image, label in zip(images, labels)])
+        for n in (24, 100, 512):
+            got = nets.evaluate_accuracy(images[:n], labels[:n], state.params, state.cfg)
+            assert got == hits[:n].sum() / n, n
+
+    def test_evaluate_accuracy_memory_does_not_grow_with_images(self):
+        """Slices of ``EVAL_SLICE`` images bound the traced peak: 512 images
+        peak about as high as 64, where one forward over all 512 peaked 8x."""
+        cfg = nets.default_cls_config()
+        p = nets.ClsNetParams.create(cfg, np.random.default_rng(36), np.float32)
+        images, labels = nets.synth_dataset(37, 512, 4)
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                nets.evaluate_accuracy(images[:n], labels[:n], p, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert nets.EVAL_SLICE == 64
+        assert peak(512) < 1.25 * peak(64)
 
     def test_step_tape_length_does_not_grow_with_batch(self, monkeypatch):
         tapes = []

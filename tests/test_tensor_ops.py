@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from pst import tensor_ops as ops
@@ -67,23 +68,33 @@ class TestSoftmaxRows:
             ops.softmax_rows(np.zeros(4))
 
 
+SIGMOID_SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]
+
+
 class TestSigmoid:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bytes_equal_two_branch_formula(self, dtype):
         big = np.finfo(dtype).max
-        special = [0.0, -0.0, big, -big, 1e3, -1e3, 80.0, -80.0, 1e-30, -1e-30,
-                   np.inf, -np.inf, np.nan, -np.nan]
+        tiny = np.finfo(dtype).tiny
+        special = [*SIGMOID_SPECIALS, big, -big, tiny, -tiny, 1e3, -1e3, 80.0, -80.0,
+                   1e-30, -1e-30]
         noise = np.random.default_rng(0).standard_normal(4096) * 30
         x = np.concatenate([special, noise]).astype(dtype)
-        expected = np.empty_like(x)
-        pos = x >= 0
-        expected[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        expected[~pos] = ex / (1.0 + ex)
         ops.set_debug_checks(False)  # NaN inputs are part of the comparison
         got = ops.sigmoid(x)
         assert got.dtype == x.dtype
-        assert got.tobytes() == expected.tobytes()
+        assert got.tobytes() == oracles.sigmoid_two_branch(x).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @given(data=st.data())
+    def test_bytes_equal_two_branch_formula_property(self, dtype, data):
+        width = np.finfo(dtype).bits
+        drawn = data.draw(hnp.arrays(dtype, st.integers(0, 40),
+                                     elements=st.floats(width=width)))
+        x = np.concatenate([np.array(SIGMOID_SPECIALS, dtype=dtype), drawn])
+        ops.set_debug_checks(False)
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert ops.sigmoid(x).tobytes() == oracles.sigmoid_two_branch(x).tobytes()
 
 
 class TestConv1x1:
@@ -134,6 +145,18 @@ class TestDepthwiseConv7x7:
         x = rng.standard_normal((2, 6, 5))
         k = rng.standard_normal((2, 7, 7))
         assert np.allclose(ops.depthwise_conv7x7(x, k), oracles.depthwise_4loop(x, k), atol=1e-5)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape, channels_last", [
+        ((5, 9, 11), False), ((2, 3, 16, 16), False), ((40, 8, 3), True), ((4, 64, 4, 4), True)])
+    def test_bytes_equal_49_tap_formula(self, dtype, shape, channels_last):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(shape).astype(dtype)
+        k = rng.standard_normal((shape[-3], 7, 7)).astype(dtype)
+        assert ops.taps_channels_last(x) == channels_last
+        got = ops.depthwise_conv7x7(x, k)
+        assert got.dtype == x.dtype
+        assert got.tobytes() == oracles.depthwise_49_taps(x, k).tobytes()
 
     def test_kernel_channel_mismatch(self):
         with pytest.raises(DimensionError):
