@@ -9,8 +9,10 @@ of the pairs and should win on the median.
 from __future__ import annotations
 
 import os
+import subprocess
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -31,6 +33,10 @@ class LatencyStats:
     @property
     def median_ms(self) -> float:
         return self.median_ns / 1e6
+
+    def to_dict(self) -> dict:
+        return {"median_ms": self.median_ns / 1e6, "p10_ms": self.p10_ns / 1e6,
+                "p90_ms": self.p90_ns / 1e6, "runs": len(self.samples_ns)}
 
     def to_text(self) -> str:
         return (f"median {self.median_ns / 1e6:.3f} ms  "
@@ -71,6 +77,7 @@ def benchmark_interleaved(fns, *, repeats: int = 30, warmup: int = 5) -> list[La
 class BenchComparison:
     n: int
     token_dim: int
+    seed: int
     pooled: LatencyStats
     dense: LatencyStats
     precision: str = "f32"
@@ -87,6 +94,46 @@ class BenchComparison:
             f"dense:        {self.dense.to_text()}",
             f"median ratio pooled/dense: {self.ratio:.3f}",
         ])
+
+    def to_json(self) -> dict:
+        """The run as a JSON object, with the machine and the commit it ran on."""
+        return {
+            "n": self.n, "cprime": self.token_dim, "seed": self.seed,
+            "precision": self.precision,
+            "pooled": self.pooled.to_dict(), "dense": self.dense.to_dict(),
+            "ratio": self.ratio,
+            "machine": machine_info(),
+            **source_commit(),
+        }
+
+
+def machine_info() -> dict:
+    """CPU count, numpy version and the BLAS numpy was built against (None
+    where numpy does not report it)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):
+        blas = None
+    return {"cpu_count": os.cpu_count(), "numpy": np.__version__, "blas": blas}
+
+
+def source_commit() -> dict:
+    """``git rev-parse HEAD`` of the checkout this package runs from, and
+    whether tracked files differ from it; both None outside a git checkout."""
+    here = Path(__file__).resolve().parent
+
+    def git(*argv):
+        try:
+            done = subprocess.run(["git", *argv], cwd=here, capture_output=True,
+                                  text=True, timeout=10)
+        except (OSError, subprocess.SubprocessError):
+            return None
+        return done.stdout.strip() if done.returncode == 0 else None
+
+    commit = git("rev-parse", "HEAD")
+    status = git("status", "--porcelain", "--untracked-files=no") if commit else None
+    return {"commit": commit, "commit_modified": None if status is None else bool(status)}
 
 
 def bench_psa_vs_dense(n: int = 4096, token_dim: int = 32, seed: int = 0, *,
@@ -118,4 +165,4 @@ def bench_psa_vs_dense(n: int = 4096, token_dim: int = 32, seed: int = 0, *,
                                               repeats=repeats, warmup=warmup)
     finally:
         ops.set_debug_checks(was_checking)
-    return BenchComparison(n=n, token_dim=token_dim, pooled=pooled, dense=dense)
+    return BenchComparison(n=n, token_dim=token_dim, seed=seed, pooled=pooled, dense=dense)

@@ -8,6 +8,7 @@ usage and file-format errors. Argparse itself exits with 2 on bad flags.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 import numpy as np
@@ -130,6 +131,11 @@ def _cmd_bench(args) -> int:
         n=args.n, token_dim=args.cprime, seed=args.seed,
         repeats=args.repeats, warmup=args.warmup)
     print(result.to_text())
+    if args.json is not None:
+        with open(args.json, "w", encoding="utf-8") as f:
+            json.dump(result.to_json(), f, indent=2)
+            f.write("\n")
+        print(f"wrote {args.json}")
     return 0
 
 
@@ -218,6 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--repeats", type=int, default=bench_mod.MIN_REPEATS)
     p.add_argument("--warmup", type=int, default=bench_mod.MIN_WARMUP)
+    p.add_argument("--json", default=None, metavar="PATH",
+                   help="also write the timings, machine and commit as JSON")
     p.set_defaults(func=_cmd_bench)
 
     p = commands.add_parser("heatmap", help="export the key-score map of one run")

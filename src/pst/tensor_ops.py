@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DimensionError,
@@ -31,6 +32,10 @@ from .errors import (
 )
 
 _debug_checks = False
+
+# Most tap products one chunk of depthwise_conv7x7 holds: 256 KiB of float32,
+# which stays in L2 between the multiply that writes it and the reduce.
+DEPTHWISE_CHUNK = 1 << 16
 
 
 def set_debug_checks(enabled: bool) -> None:
@@ -177,32 +182,61 @@ def depthwise_conv7x7(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Per-channel 7x7 spatial correlation with zero padding of 3.
 
     ``x`` is ``[..., C, H, W]`` and ``kernel`` is ``[C, 7, 7]``; output
-    extents equal input extents. A delta kernel (1 at the center tap)
+    extents equal input extents and the output has ``x``'s dtype (a kernel of
+    another dtype is cast to it first). A delta kernel (1 at the center tap)
     reproduces the input exactly.
+
+    Each output element is ``((0 + p_0) + p_1) + ... + p_48``, its 49 tap
+    products added in row-major kernel order, as the plain loop over taps
+    adds them. The products of a chunk of output rows are written by one
+    multiply into a C-contiguous ``[49, ...]`` block of at most
+    :data:`DEPTHWISE_CHUNK` elements (or of one row, when a row alone holds
+    more), and one reduce over the outer axis adds them. numpy reduces over
+    an outer axis one slice after another, in order; it sums pairwise only
+    when the slices are a single element. Chunks are balanced, so that
+    happens only for one 1x1 map of one channel, whose one nonzero product
+    makes any order exact. The output is a channel-last view.
     """
     _require_map("depthwise_conv7x7", x)
-    c, h, w = x.shape[-3:]
+    *lead, c, h, w = x.shape
     if kernel.shape != (c, 7, 7):
         raise DimensionError(f"depthwise kernel {kernel.shape} does not match input {x.shape}")
-    last = taps_channels_last(x)
-    xp = pad3(x, last)
-    out = map_buffer(x.shape, x.dtype, last)
-    # Each tap's product goes through one reused buffer in the storage order
-    # of ``out``; the same products, added in the same order.
-    prod = np.empty_like(out, dtype=np.result_type(kernel, x))
-    taps = kernel.reshape(c, 49).T.reshape(49, c, 1, 1)
-    for t, tap in enumerate(taps):
-        u, v = divmod(t, 7)
-        np.multiply(tap, xp[..., u : u + h, v : v + w], out=prod)
-        out += prod
-    return _checked(out)
+    if x.size == 0:
+        return np.zeros(x.shape, dtype=x.dtype)
+    b, wc = x.size // (c * h * w), w * c
+    # Channel-last padded storage: xp[s, 3 + i, (3 + j) * C + ch] = x[s, ch, i, j],
+    # so tap (u, v) of every channel is one shifted [H, W * C] window.
+    xp = np.zeros((b, h + 6, (w + 6) * c), dtype=x.dtype)
+    interior = xp.reshape(b, h + 6, w + 6, c)[:, 3 : h + 3, 3 : w + 3]
+    interior[...] = x.reshape(b, c, h, w).transpose(0, 2, 3, 1)
+    windows = sliding_window_view(xp, (h, wc), axis=(1, 2))[:, :, ::c].transpose(1, 2, 0, 3, 4)
+    taps = np.empty((7, 7, w, c), dtype=x.dtype)
+    taps[...] = kernel.transpose(1, 2, 0)[:, :, None]  # taps[u, v, j, ch] = kernel[ch, u, v]
+    taps = taps.reshape(7, 7, 1, 1, wc)
+    out = np.empty((b, h, wc), dtype=x.dtype)
+    per_row = 49 * wc
+    if h * per_row <= DEPTHWISE_CHUNK:  # groups of whole samples
+        groups, blocks = -(-b // (DEPTHWISE_CHUNK // (h * per_row))), 1
+    else:  # blocks of rows of one sample
+        groups, blocks = b, -(-h // max(1, DEPTHWISE_CHUNK // per_row))
+    s_cut = [i * b // groups for i in range(groups + 1)]
+    r_cut = [i * h // blocks for i in range(blocks + 1)]
+    prod = np.empty(per_row * -(-b // groups) * -(-h // blocks), dtype=x.dtype)
+    for s0, s1 in zip(s_cut, s_cut[1:]):
+        for r0, r1 in zip(r_cut, r_cut[1:]):
+            p = prod[: per_row * (s1 - s0) * (r1 - r0)].reshape(7, 7, s1 - s0, r1 - r0, wc)
+            np.multiply(taps, windows[:, :, s0:s1, r0:r1], out=p)
+            np.add.reduce(p.reshape(49, s1 - s0, r1 - r0, wc), axis=0, initial=0,
+                          out=out[s0:s1, r0:r1])
+    nl = len(lead)
+    return _checked(out.reshape(*lead, h, w, c).transpose(*range(nl), nl + 2, nl, nl + 1))
 
 
 def taps_channels_last(x: np.ndarray) -> bool:
-    """Whether the 49 taps over a [..., C, H, W] map run on channel-last
-    storage. Each tap is one pass over the map whose inner loop is the
-    contiguous axis, so a stack of small grids (C > 2W) runs channel-last;
-    every element sums the same products in the same order either way."""
+    """Whether the kernel gradient of the depthwise conv (one sum over the
+    map per tap, in ``autodiff.depthwise_conv7x7``) runs on channel-last
+    storage: a stack of small grids (C > 2W) does. The storage order fixes
+    the order of each sum, so it is part of the gradient's bytes."""
     return x.shape[-3] > 2 * x.shape[-1]
 
 
@@ -263,8 +297,8 @@ def _batch_norm(x, gamma, beta, running_mean, running_var, mode, channel_axis, e
         if arr.shape != (channels,):
             raise DimensionError(
                 f"batch_norm {name} has shape {arr.shape}, expected ({channels},)")
-    if np.any(running_var < 0):
-        raise StateCorruptionError("negative running variance")
+    if not np.minimum.reduce(running_var, initial=np.inf) >= 0:
+        raise StateCorruptionError("negative or NaN running variance")
     pshape = [1] * x.ndim
     pshape[channel_axis] = channels
     if mode == "train":

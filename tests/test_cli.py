@@ -1,5 +1,7 @@
 """Command line surface, invoked in process."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,31 @@ class TestBench:
         assert code == 0
         assert "median ratio pooled/dense:" in out
         assert "environment:" in out
+
+    def test_json_record(self, capsys, tmp_path):
+        path = tmp_path / "BENCH_small.json"
+        code, out, _ = run(capsys, "bench", "--n", "64", "--cprime", "8", "--seed", "3",
+                           "--repeats", "10", "--warmup", "3", "--json", str(path))
+        assert code == 0
+        assert f"wrote {path}" in out
+        record = json.loads(path.read_text())
+        assert set(record) == {"n", "cprime", "seed", "precision", "pooled", "dense", "ratio",
+                               "machine", "commit", "commit_modified"}
+        assert (record["n"], record["cprime"], record["seed"]) == (64, 8, 3)
+        for side in ("pooled", "dense"):
+            stats = record[side]
+            assert set(stats) == {"median_ms", "p10_ms", "p90_ms", "runs"}
+            assert stats["runs"] == 10
+            assert 0 < stats["p10_ms"] <= stats["median_ms"] <= stats["p90_ms"]
+        assert record["ratio"] == pytest.approx(
+            record["pooled"]["median_ms"] / record["dense"]["median_ms"], rel=1e-12)
+        machine = record["machine"]
+        assert set(machine) == {"cpu_count", "numpy", "blas"}
+        assert machine["numpy"] == np.__version__
+        assert machine["blas"] is None or isinstance(machine["blas"], str)
+        commit = record["commit"]
+        assert commit is None or (len(commit) == 40 and int(commit, 16) >= 0)
+        assert (commit is None) == (record["commit_modified"] is None)
 
     def test_insufficient_repeats(self, capsys):
         code, _, err = run(capsys, "bench", "--n", "64", "--repeats", "5")

@@ -8,6 +8,7 @@ import pytest
 from pst import autodiff as ad
 from pst import networks as nets
 from pst import psa
+from pst import tensor_ops as ops
 from pst.errors import ContractError, DimensionError
 from pst.params import learnable_arrays, map_arrays, named_arrays
 
@@ -284,6 +285,34 @@ def small_train_setup(seed=6, num_classes=2, token_dim=16, n=16):
     cfg = nets.default_cls_config(num_classes=num_classes, token_dim=token_dim)
     state = nets.init_train_state(cfg, seed)
     return images, labels, state
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_depthwise_kernel_dtype_is_the_map_dtype_in_library_calls(monkeypatch, dtype):
+    """The depthwise conv casts a kernel of another dtype to the map's. No
+    call from a training step (forward and input adjoint), a refined
+    classifier forward or the detection neck needs that cast."""
+    seen = []
+    conv = ops.depthwise_conv7x7
+
+    def spy(x, kernel):
+        seen.append((x.dtype, kernel.dtype))
+        return conv(x, kernel)
+
+    monkeypatch.setattr(ops, "depthwise_conv7x7", spy)
+    images, labels = nets.synth_dataset(38, 4, 2)
+    images = images.astype(dtype)
+    cfg = nets.default_cls_config(num_classes=2, token_dim=16)
+    state = nets.init_train_state(cfg, 38, dtype)
+    nets.train_step(images, labels, state, lr=0.01)
+    refined = nets.default_cls_config(num_classes=2, token_dim=16, fine_enabled=True)
+    nets.cls_forward_batch(images, state.params, refined)
+    neck_cfg = nets.default_det_neck_config()
+    neck = nets.DetNeckParams.create(neck_cfg, np.random.default_rng(39), dtype)
+    backbone = nets.BackboneParams.create(np.random.default_rng(40), dtype)
+    nets.det_neck_forward(nets.backbone_forward(images[0], backbone), neck, neck_cfg)
+    assert len(seen) == 2 + 1 + 3
+    assert all(np.result_type(x, k) == x for x, k in seen)
 
 
 class TestTrainStep:

@@ -1,8 +1,10 @@
 """Primitive ops against hand values, loop oracles, and stated invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -158,6 +160,72 @@ class TestDepthwiseConv7x7:
         assert got.dtype == x.dtype
         assert got.tobytes() == oracles.depthwise_49_taps(x, k).tobytes()
 
+    @given(st.sampled_from([np.float32, np.float64]),
+           st.lists(st.integers(1, 3), max_size=2),
+           st.integers(1, 24), st.integers(1, 24), st.integers(1, 24), st.integers(0, 2**32 - 1))
+    # Around the chunk of 2**16 products: C*H*W = 1337 is the largest sample
+    # one chunk holds, 668 the largest that two hold; a one-column map of
+    # 1338 rows splits into row blocks, and W*C = 1400 rows each exceed a chunk.
+    @example(np.float32, [], 1, 1337, 1, 0)
+    @example(np.float32, [], 1, 1338, 1, 0)
+    @example(np.float64, [2], 1, 1339, 1, 1)
+    @example(np.float64, [1337], 1, 1, 1, 2)
+    @example(np.float32, [1338], 1, 1, 1, 3)
+    @example(np.float64, [3], 4, 167, 1, 4)
+    @example(np.float32, [3], 4, 167, 2, 5)
+    @example(np.float32, [2], 2, 3, 700, 6)
+    @example(np.float64, [2, 2], 1, 1, 1, 7)
+    def test_bytes_equal_49_tap_formula_property(self, dtype, lead, c, h, w, seed):
+        """Any stack of maps, with +0.0 and -0.0 among the inputs and zero
+        taps, gives the oracle's bytes."""
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((*lead, c, h, w)).astype(dtype)
+        u = rng.random(x.shape)
+        x[u < 0.2] = 0.0
+        x[u > 0.9] = -0.0
+        k = rng.standard_normal((c, 7, 7)).astype(dtype)
+        k[rng.random(k.shape) < 0.1] = 0.0
+        got = ops.depthwise_conv7x7(x, k)
+        expected = oracles.depthwise_49_taps(x, k)
+        assert got.shape == expected.shape and got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
+    def test_float64_kernel_is_cast_to_float32_map(self):
+        """A kernel of another dtype is cast to the map's dtype first, so the
+        products and sums stay in float32."""
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((2, 6, 8, 5)).astype(np.float32)
+        k = rng.standard_normal((6, 7, 7))
+        got = ops.depthwise_conv7x7(x, k)
+        assert got.dtype == np.float32
+        assert got.tobytes() == oracles.depthwise_49_taps(x, k.astype(np.float32)).tobytes()
+
+    @pytest.mark.parametrize("shape", [(0, 4, 4), (2, 0, 3, 3), (3, 0, 5), (3, 5, 0), (0, 2, 1, 1)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_empty_map(self, shape, dtype):
+        got = ops.depthwise_conv7x7(np.zeros(shape, dtype), np.ones((shape[-3], 7, 7), dtype))
+        assert got.shape == shape and got.dtype == dtype
+
+    def test_memory_is_padded_copy_output_and_one_chunk(self):
+        """At [64, 64, 64] a chunk is one row of 49 * W * C products; the
+        tiled taps take as much again. No [49, ...] block of the whole map
+        is ever held."""
+        c = h = w = 64
+        x = np.random.default_rng(12).standard_normal((c, h, w)).astype(np.float32)
+        k = np.random.default_rng(13).standard_normal((c, 7, 7)).astype(np.float32)
+        item = x.itemsize
+        chunk = max(ops.DEPTHWISE_CHUNK, 49 * w * c) * item
+        bound = c * (h + 6) * (w + 6) * item + x.nbytes + 2 * chunk + 64 * 1024
+        ops.set_debug_checks(False)  # its finiteness mask is not the kernel's
+        ops.depthwise_conv7x7(x, k)
+        tracemalloc.start()
+        try:
+            ops.depthwise_conv7x7(x, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
     def test_kernel_channel_mismatch(self):
         with pytest.raises(DimensionError):
             ops.depthwise_conv7x7(np.zeros((3, 4, 4)), np.zeros((2, 7, 7)))
@@ -228,6 +296,12 @@ class TestBatchNorm:
         with pytest.raises(StateCorruptionError):
             ops.batch_norm(np.zeros((2, 2)), np.ones(2), np.zeros(2),
                            np.zeros(2), np.array([1.0, -0.5]), mode="infer", channel_axis=0)
+
+    @pytest.mark.parametrize("mode", ["infer", "train"])
+    def test_nan_running_variance(self, mode):
+        with pytest.raises(StateCorruptionError):
+            ops.batch_norm(np.zeros((2, 2)), np.ones(2), np.zeros(2),
+                           np.zeros(2), np.array([1.0, np.nan]), mode=mode, channel_axis=0)
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):
