@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor_ops as ops
+from . import threads
 from .psa import PsaConfig, PsaParams, dense_cross_attention, psa_forward
 
 MIN_REPEATS = 10
@@ -81,6 +82,7 @@ class BenchComparison:
     pooled: LatencyStats
     dense: LatencyStats
     precision: str = "f32"
+    workers: int = 1  # threads the pooled side's attention core ran on
 
     @property
     def ratio(self) -> float:
@@ -89,7 +91,8 @@ class BenchComparison:
     def to_text(self) -> str:
         return "\n".join([
             f"n={self.n} tokens, dim={self.token_dim}",
-            f"environment: {os.cpu_count() or 1} cpus, {self.precision}",
+            f"environment: {os.cpu_count() or 1} cpus, {self.precision}, "
+            f"pooled attention core on {self.workers} thread(s)",
             f"pooled block: {self.pooled.to_text()}",
             f"dense:        {self.dense.to_text()}",
             f"median ratio pooled/dense: {self.ratio:.3f}",
@@ -102,20 +105,23 @@ class BenchComparison:
             "precision": self.precision,
             "pooled": self.pooled.to_dict(), "dense": self.dense.to_dict(),
             "ratio": self.ratio,
-            "machine": machine_info(),
+            "machine": {**machine_info(), "attention_workers": self.workers},
             **source_commit(),
         }
 
 
 def machine_info() -> dict:
-    """CPU count, numpy version and the BLAS numpy was built against (None
-    where numpy does not report it)."""
+    """CPU count, numpy version, the BLAS numpy was built against (None where
+    numpy does not report it) and the symbol its thread count is controlled
+    through (None where :mod:`pst.threads` finds no control)."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas['name']} {blas['version']}"
     except (TypeError, KeyError):
         blas = None
-    return {"cpu_count": os.cpu_count(), "numpy": np.__version__, "blas": blas}
+    control = threads.blas_control()
+    return {"cpu_count": os.cpu_count(), "numpy": np.__version__, "blas": blas,
+            "blas_control": None if control is None else control.symbol}
 
 
 def source_commit() -> dict:
@@ -165,4 +171,6 @@ def bench_psa_vs_dense(n: int = 4096, token_dim: int = 32, seed: int = 0, *,
                                               repeats=repeats, warmup=warmup)
     finally:
         ops.set_debug_checks(was_checking)
-    return BenchComparison(n=n, token_dim=token_dim, seed=seed, pooled=pooled, dense=dense)
+    shared = ops.attention_shares_units(n, n // 4, cfg.heads)
+    return BenchComparison(n=n, token_dim=token_dim, seed=seed, pooled=pooled, dense=dense,
+                           workers=threads.scope_workers() if shared else 1)

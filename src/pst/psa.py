@@ -12,12 +12,15 @@ projection and normalization.
 
 Both stages, the plain-array, taped and diagnostic paths, and
 ``dense_cross_attention`` run one attention core, :func:`attention`. It folds
-the ``1/sqrt(d_head)`` scale into the queries, runs all heads as batched
-matmuls, and walks the queries in row tiles of a fixed number of logits, so
-the full N x M logits never exist at once. Each tile is exponentiated in
-place, and its column sums go into a float64 accumulator that yields the key
-scores. The [heads, N, M] weights are built only when diagnostics ask for
-them. On the tape the core is one ``attention`` op with its own backward rule.
+the ``1/sqrt(d_head)`` scale into the queries and walks the queries of each
+head in row tiles of a fixed number of logits, so the full N x M logits never
+exist at once. Each tile is exponentiated in place, and its column sums go
+into a float64 accumulator that yields the key scores. The [heads, N, M]
+weights are built only when diagnostics ask for them. On the tape the core is
+one ``attention`` op with its own backward rule. A block call whose coarse
+attention has (tile, head) work units large enough to share runs inside one
+BLAS-thread scope (:func:`block_scope`), where the core shares them with a
+second thread; see :mod:`pst.threads`.
 
 One batch-first path runs the block: :func:`psa_forward_batch` takes one
 ``[B, d, H, W]`` stack per input (or a list of maps, stacked on entry and
@@ -41,6 +44,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import tensor_ops as ops
+from . import threads
 from .autodiff import _tape_of, _val
 from .errors import ContractError, DimensionError
 from .params import BatchNormState, kaiming, kaiming_depthwise
@@ -398,6 +402,18 @@ def _psa_tail(q, k, v, x_tokens, shared_wk, shared_wv, p: PsaParams, cfg: PsaCon
     return normalize_tokens(_project(fused, p.wo), p.bn_out, bn_mode, stat_sink)
 
 
+def block_scope(n: int, heads: int, samples: int):
+    """The BLAS scope of one block call over ``samples`` maps of ``n`` fine
+    tokens: one BLAS thread (:func:`pst.threads.single_blas_thread`) when its
+    coarse attention has work units to share with a second thread
+    (:func:`pst.tensor_ops.attention_shares_units`), no scope otherwise.
+    Entered before the first projection, so that no threaded BLAS call inside
+    the block wakes the BLAS worker."""
+    if not ops.attention_shares_units(n, n // 4, heads, samples):
+        return contextlib.nullcontext()
+    return threads.single_blas_thread()
+
+
 def psa_forward(x_map, u_map, p: PsaParams, cfg: PsaConfig, *,
                 bn_mode: str = "infer", stat_sink: Optional[list] = None,
                 diagnostics: Optional[dict] = None):
@@ -424,11 +440,12 @@ def psa_forward_batch(x_maps, u_maps, p: PsaParams, cfg: PsaConfig, *,
     _check_pair(x, u, cfg.token_dim)
     diagnostics = _samples(_val(x).shape[:-3], diagnostics)
     h, w = _val(x).shape[-2:]
-    x_tokens = ad.map_to_tokens(x)
-    q, k, v = project_qkv(x_tokens, ad.map_to_tokens(u), p)
-    out = _psa_tail(q, k, v, x_tokens, p.wk, p.wv, p, cfg, (h, w),
-                    bn_mode, stat_sink, diagnostics)
-    maps = ad.tokens_to_map(out, h, w)
+    with block_scope(h * w, cfg.heads, int(np.prod(_val(x).shape[:-3]))):
+        x_tokens = ad.map_to_tokens(x)
+        q, k, v = project_qkv(x_tokens, ad.map_to_tokens(u), p)
+        out = _psa_tail(q, k, v, x_tokens, p.wk, p.wv, p, cfg, (h, w),
+                        bn_mode, stat_sink, diagnostics)
+        maps = ad.tokens_to_map(out, h, w)
     return ad.unstack(maps) if listed else maps
 
 

@@ -24,7 +24,8 @@ from . import autodiff as ad
 from . import tensor_ops as ops
 from .errors import AccountingError, ContractError, DimensionError
 from .params import BatchNormState, kaiming, named_arrays
-from .psa import PsaConfig, PsaParams, normalize_maps, psa_forward_batch, stack_pairs
+from .psa import (PsaConfig, PsaParams, block_scope, normalize_maps, psa_forward_batch,
+                  stack_pairs)
 
 _SIZE_FACTORS = {"N": 1, "S": 2, "M": 4}
 
@@ -131,16 +132,17 @@ def pst_forward_batch(x_raws, u_raws, p: PstParams, cfg: PstConfig, *,
         raise DimensionError(f"fine map {xs} is not the 2x refinement of coarse map {us}")
     ops.require_finite(ad._val(x), ad._val(u))
 
-    m = psa_forward_batch(
-        normalize_maps(ad.conv1x1(x, p.in_conv_x), p.bn_x, bn_mode, stat_sink),
-        normalize_maps(ad.conv1x1(u, p.in_conv_u), p.bn_u, bn_mode, stat_sink),
-        p.psa, cfg.psa, bn_mode=bn_mode, stat_sink=stat_sink, diagnostics=diagnostics)
-    # Rebound at each step, so the attention output is freed once refined.
-    hidden = ad.silu(ad.conv1x1(m, p.mlp_expand))
-    m = ad.add(m, ad.conv1x1(hidden, p.mlp_project))
-    del hidden
-    m = ad.conv1x1(ad.concat_channels(x, m), p.end_conv)
-    out = normalize_maps(m, p.bn_end, bn_mode, stat_sink)
+    with block_scope(xs[-2] * xs[-1], cfg.psa.heads, int(np.prod(xs[:-3]))):
+        m = psa_forward_batch(
+            normalize_maps(ad.conv1x1(x, p.in_conv_x), p.bn_x, bn_mode, stat_sink),
+            normalize_maps(ad.conv1x1(u, p.in_conv_u), p.bn_u, bn_mode, stat_sink),
+            p.psa, cfg.psa, bn_mode=bn_mode, stat_sink=stat_sink, diagnostics=diagnostics)
+        # Rebound at each step, so the attention output is freed once refined.
+        hidden = ad.silu(ad.conv1x1(m, p.mlp_expand))
+        m = ad.add(m, ad.conv1x1(hidden, p.mlp_project))
+        del hidden
+        m = ad.conv1x1(ad.concat_channels(x, m), p.end_conv)
+        out = normalize_maps(m, p.bn_end, bn_mode, stat_sink)
     return ad.unstack(out) if listed else out
 
 

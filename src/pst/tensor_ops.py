@@ -20,10 +20,12 @@ happens in the dtype of the inputs (float32 or float64).
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
+from . import threads
 from .errors import (
     DimensionError,
     GatherIndexError,
@@ -105,6 +107,32 @@ def attention_weights_buffer(q: np.ndarray, k: np.ndarray, heads: int) -> np.nda
                     dtype=np.result_type(q, k))
 
 
+# Fewest logits a unit of :func:`attention` holds for the call to share its
+# units with a second thread: below about this size, handing the GIL between
+# two threads at every numpy call costs more than the second CPU saves. A
+# fixed size, not a knob.
+ATTENTION_SHARED_UNIT_LOGITS = 1 << 16
+
+
+def _tile_rows(n: int, m: int, heads: int) -> int:
+    return max(1, min(n, ATTENTION_TILE_LOGITS // (heads * m)))
+
+
+def attention_units(n: int, m: int, heads: int) -> int:
+    """Work units of one :func:`attention` call over ``n`` queries and ``m``
+    keys per sample: one per query-row tile of each head."""
+    return heads * -(-n // _tile_rows(n, m, heads))
+
+
+def attention_shares_units(n: int, m: int, heads: int, samples: int = 1) -> bool:
+    """Whether an :func:`attention` call over a stack of ``samples`` hands its
+    units to a second thread, where a thread scope allows one: it has two or
+    more, and each holds at least ``ATTENTION_SHARED_UNIT_LOGITS`` logits."""
+    rows = _tile_rows(n, m, heads)
+    return (heads * -(-n // rows) >= 2
+            and samples * rows * m >= ATTENTION_SHARED_UNIT_LOGITS)
+
+
 def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
               weights: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Multi-head scaled dot-product attention and its key scores.
@@ -115,14 +143,25 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
     float64 [..., M] mean post-softmax weight of each key over heads and
     queries, which sums to one per sample.
 
-    The scale ``1/sqrt(d_head)`` is folded into the queries, and all samples
-    and heads run as one batched matmul. Queries are walked in row tiles of
-    about ``ATTENTION_TILE_LOGITS`` logits per sample; every tile sees every
-    key, so its softmax is exact. A tile is exponentiated in place after its
-    row max is taken out; its rows of ``out`` are normalized after the value
-    product, and its column sums, each row weighted by its inverse row sum,
-    go into a float64 accumulator. The [..., heads, N, M] post-softmax weights
-    are written to ``weights`` only when that buffer is given.
+    The scale ``1/sqrt(d_head)`` is folded into the queries. Queries are
+    walked in row tiles of about ``ATTENTION_TILE_LOGITS`` logits per sample
+    over all heads; every tile sees every key, so its softmax is exact. One
+    tile of one head, over every sample of the stack, is a work unit (see
+    :func:`attention_units`). A unit's logits are exponentiated in place
+    after their row max is taken out; its rows of ``out`` are normalized
+    after the value product, and its column sums, each row weighted by its
+    inverse row sum, are the unit's key-score partial. A tile's partials are
+    summed over heads in float32 and added to a float64 accumulator, tile
+    after tile. The [..., heads, N, M] post-softmax weights are written to
+    ``weights`` only when that buffer is given.
+
+    Inside :func:`pst.threads.single_blas_thread` on a machine with two CPUs,
+    the units of a call whose tiles hold at least
+    ``ATTENTION_SHARED_UNIT_LOGITS`` logits are handed out in order to the
+    calling thread and to one pool worker; elsewhere the calling thread runs
+    them all. Each unit writes only
+    its own rows and the partials are added in the same order either way, so
+    the bytes of ``out``, the scores and the weights do not depend on it.
     """
     if (q.ndim < 2 or k.ndim != q.ndim or v.shape != k.shape or k.shape[-1] != q.shape[-1]
             or k.shape[:-2] != q.shape[:-2] or not k.shape[-2]):
@@ -136,28 +175,84 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
     if weights is not None and weights.shape != (*lead, heads, n, m):
         raise DimensionError(f"weights buffer {weights.shape} is not {(*lead, heads, n, m)}")
     dtype = np.result_type(q, k, v)
-    qh = split_heads(q * dtype.type(1.0 / math.sqrt(dim // heads)), heads)
-    kt = split_heads(k, heads).swapaxes(-1, -2)
-    vh = split_heads(v, heads)
     out = np.empty(q.shape, dtype=dtype)
-    out_h = split_heads(out, heads)
-    rows = max(1, min(n, ATTENTION_TILE_LOGITS // (heads * m)))
-    buffer = np.empty((*lead, heads, rows, m), dtype=dtype)
     colsum = np.zeros((*lead, m), dtype=np.float64)
-    for lo in range(0, n, rows):
-        hi = min(n, lo + rows)
-        tile = buffer[..., : hi - lo, :]
-        np.matmul(qh[..., lo:hi, :], kt, out=tile)
-        tile -= tile.max(axis=-1, keepdims=True)
-        np.exp(tile, out=tile)
-        inv = 1.0 / tile.sum(axis=-1, keepdims=True)
-        colsum += np.matmul(inv.swapaxes(-1, -2), tile).sum(axis=(-3, -2))
-        rows_out = out_h[..., lo:hi, :]
-        np.matmul(tile, vh, out=rows_out)
-        rows_out *= inv
-        if weights is not None:
-            np.multiply(tile, inv, out=weights[..., lo:hi, :])
+    units = _AttentionUnits(
+        split_heads(q * dtype.type(1.0 / math.sqrt(dim // heads)), heads),
+        split_heads(k, heads).swapaxes(-1, -2), split_heads(v, heads),
+        split_heads(out, heads), weights, colsum, _tile_rows(n, m, heads))
+    if threads.core_workers() < 2 or not attention_shares_units(n, m, heads, math.prod(lead)):
+        units.run()
+    else:
+        future = threads.pool().submit(units.run)
+        try:
+            units.run()
+        finally:
+            # Never wait on a worker that has not started: it may be busy
+            # with another call, or absent in a forked child.
+            units.close()
+            error = None if future.cancel() else future.exception()
+        if error is not None:
+            raise error
     return _checked(out), colsum / (heads * n)
+
+
+class _AttentionUnits:
+    """The (tile, head) units of one :func:`attention` call, handed out in
+    tile-major order to every thread that calls :meth:`run`."""
+
+    def __init__(self, qh, kt, vh, out_h, weights, colsum, rows: int):
+        *lead, self.heads, self.n, _ = qh.shape
+        self.qh, self.kt, self.vh, self.out_h = qh, kt, vh, out_h
+        self.weights, self.colsum, self.rows = weights, colsum, rows
+        self.count = self.heads * -(-self.n // rows)
+        self.tile_shape = (*lead, rows, kt.shape[-1])
+        self.partials_shape = (*lead, self.heads, 1, kt.shape[-1])
+        self.lock = threading.Lock()
+        self.next = 0
+        self.flushed = 0  # tiles whose partials are in colsum
+        self.pending = {}  # tile -> [partials [..., heads, 1, M], heads still running]
+
+    def close(self) -> None:
+        """Hand out no further unit."""
+        with self.lock:
+            self.next = self.count
+
+    def run(self) -> None:
+        qh, kt, vh, out_h, weights = self.qh, self.kt, self.vh, self.out_h, self.weights
+        lock, pending, heads, rows, n = self.lock, self.pending, self.heads, self.rows, self.n
+        buffer = None  # this thread's one-head tile
+        while True:
+            with lock:
+                unit = self.next
+                if unit >= self.count:
+                    return
+                self.next = unit + 1
+                t, h = divmod(unit, heads)
+                if not h:
+                    pending[t] = [np.empty(self.partials_shape, dtype=out_h.dtype), heads]
+                entry = pending[t]
+            if buffer is None:
+                buffer = np.empty(self.tile_shape, dtype=out_h.dtype)
+            lo = t * rows
+            hi = min(n, lo + rows)
+            tile = buffer[..., : hi - lo, :]
+            np.matmul(qh[..., h, lo:hi, :], kt[..., h, :, :], out=tile)
+            tile -= tile.max(axis=-1, keepdims=True)
+            np.exp(tile, out=tile)
+            inv = 1.0 / tile.sum(axis=-1, keepdims=True)
+            np.matmul(inv.swapaxes(-1, -2), tile, out=entry[0][..., h, :, :])
+            rows_out = out_h[..., h, lo:hi, :]
+            np.matmul(tile, vh[..., h, :, :], out=rows_out)
+            rows_out *= inv
+            if weights is not None:
+                np.multiply(tile, inv, out=weights[..., h, lo:hi, :])
+            with lock:
+                entry[1] -= 1
+                # Tile order: flush every finished tile no earlier one waits on.
+                while self.flushed in pending and not pending[self.flushed][1]:
+                    self.colsum += pending.pop(self.flushed)[0].sum(axis=(-3, -2))
+                    self.flushed += 1
 
 
 def _require_map(name: str, x: np.ndarray) -> None:
@@ -209,7 +304,7 @@ def depthwise_conv7x7(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     xp = np.zeros((b, h + 6, (w + 6) * c), dtype=x.dtype)
     interior = xp.reshape(b, h + 6, w + 6, c)[:, 3 : h + 3, 3 : w + 3]
     interior[...] = x.reshape(b, c, h, w).transpose(0, 2, 3, 1)
-    windows = sliding_window_view(xp, (h, wc), axis=(1, 2))[:, :, ::c].transpose(1, 2, 0, 3, 4)
+    windows = _tap_windows(xp, h, wc, c)
     taps = np.empty((7, 7, w, c), dtype=x.dtype)
     taps[...] = kernel.transpose(1, 2, 0)[:, :, None]  # taps[u, v, j, ch] = kernel[ch, u, v]
     taps = taps.reshape(7, 7, 1, 1, wc)
@@ -230,6 +325,20 @@ def depthwise_conv7x7(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
                           out=out[s0:s1, r0:r1])
     nl = len(lead)
     return _checked(out.reshape(*lead, h, w, c).transpose(*range(nl), nl + 2, nl, nl + 1))
+
+
+def _tap_windows(xp: np.ndarray, h: int, wc: int, c: int) -> np.ndarray:
+    """Read-only view ``[7, 7, b, h, wc]`` of the C-contiguous padded storage
+    ``xp`` [b, h + 6, wc + 6 * c]: ``windows[u, v, s, i, j] = xp[s, u + i, v * c + j]``.
+
+    Equal in shape, strides and values to
+    ``sliding_window_view(xp, (h, wc), axis=(1, 2))[:, :, ::c]`` with its
+    tap axes moved to the front, without that function's argument checks.
+    Every offset stays inside ``xp``: tap (6, 6) ends on its last element.
+    """
+    s_sample, s_row, s_item = xp.strides
+    return as_strided(xp, shape=(7, 7, xp.shape[0], h, wc),
+                      strides=(s_row, c * s_item, s_sample, s_row, s_item), writeable=False)
 
 
 def taps_channels_last(x: np.ndarray) -> bool:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pst import io as tio
+from pst import threads
 from pst.cli import main
 
 
@@ -94,9 +95,14 @@ class TestBench:
         assert record["ratio"] == pytest.approx(
             record["pooled"]["median_ms"] / record["dense"]["median_ms"], rel=1e-12)
         machine = record["machine"]
-        assert set(machine) == {"cpu_count", "numpy", "blas"}
+        assert set(machine) == {"cpu_count", "numpy", "blas", "blas_control",
+                                "attention_workers"}
         assert machine["numpy"] == np.__version__
         assert machine["blas"] is None or isinstance(machine["blas"], str)
+        control = threads.blas_control()
+        assert machine["blas_control"] == (None if control is None else control.symbol)
+        # n=64 at cprime 8 is one tile of one head: a single unit, one thread.
+        assert machine["attention_workers"] == 1
         commit = record["commit"]
         assert commit is None or (len(commit) == 40 and int(commit, 16) >= 0)
         assert (commit is None) == (record["commit_modified"] is None)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from pst import bench, costs
+from pst import bench, costs, threads
+from pst import tensor_ops as ops
 from pst.errors import AccountingError, DimensionError
 from pst.psa import PsaConfig
 
@@ -116,6 +117,17 @@ class TestPsaVsDense:
         text = cmp.to_text()
         assert "environment:" in text and "f32" in text
         assert "median ratio pooled/dense:" in text
+
+    def test_workers_follow_the_pooled_units(self, monkeypatch):
+        """A pooled side with one unit runs its core on one thread; with
+        several large enough to share, on as many as a scope entered now
+        would give."""
+        assert bench.bench_psa_vs_dense(n=256, token_dim=8, repeats=10, warmup=3).workers == 1
+        monkeypatch.setattr(ops, "ATTENTION_TILE_LOGITS", 1024)  # 16 tiles of 16 rows
+        monkeypatch.setattr(ops, "ATTENTION_SHARED_UNIT_LOGITS", 1024)
+        cmp = bench.bench_psa_vs_dense(n=256, token_dim=8, repeats=10, warmup=3)
+        assert cmp.workers == threads.scope_workers()
+        assert f"pooled attention core on {cmp.workers} thread(s)" in cmp.to_text()
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):

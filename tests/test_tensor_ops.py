@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from numpy.lib.stride_tricks import sliding_window_view
 
 import oracles
 from pst import tensor_ops as ops
@@ -229,6 +230,18 @@ class TestDepthwiseConv7x7:
     def test_kernel_channel_mismatch(self):
         with pytest.raises(DimensionError):
             ops.depthwise_conv7x7(np.zeros((3, 4, 4)), np.zeros((2, 7, 7)))
+
+    @given(b=st.integers(1, 3), h=st.integers(1, 12), w=st.integers(1, 12), c=st.integers(1, 6),
+           dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**16))
+    def test_tap_windows_equal_sliding_window_view(self, b, h, w, c, dtype, seed):
+        """The window view is the one ``sliding_window_view`` builds: same
+        shape, strides and values, and read-only."""
+        xp = np.random.default_rng(seed).standard_normal((b, h + 6, (w + 6) * c)).astype(dtype)
+        got = ops._tap_windows(xp, h, w * c, c)
+        want = sliding_window_view(xp, (h, w * c), axis=(1, 2))[:, :, ::c].transpose(1, 2, 0, 3, 4)
+        assert (got.shape, got.strides) == (want.shape, want.strides)
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable
 
 
 class TestBatchNorm:
