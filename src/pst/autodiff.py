@@ -143,12 +143,16 @@ def _tape_of(*xs) -> Optional[Tape]:
 # --- recorded operations ---------------------------------------------------
 
 
-def add(a, b):
+def add(a, b, *, in_place: bool = False):
+    """``a + b``; with ``in_place``, an unrecorded sum of ``a``'s dtype is
+    formed in ``a``'s buffer, which the caller owns."""
     av, bv = _val(a), _val(b)
     if av.shape != bv.shape:
         raise DimensionError(f"add shapes differ: {av.shape} vs {bv.shape}")
-    out = av + bv
     tape = _tape_of(a, b)
+    if tape is None and in_place and np.result_type(av, bv) == av.dtype:
+        return np.add(av, bv, out=av)
+    out = av + bv
     if tape is None:
         return out
 
@@ -328,18 +332,20 @@ def depthwise_conv7x7(x, kernel):
 
 def batch_norm(x, gamma, beta, running_mean, running_var, *,
                mode: str = "infer", channel_axis: int = 0,
-               eps: float = 1e-5, momentum: float = 0.03):
+               eps: float = 1e-5, momentum: float = 0.03, in_place: bool = False):
     """Normalization op. Returns ``(y, new_running_mean, new_running_var)``.
 
     Running statistics are constants under differentiation: the updated
-    values come back as plain arrays even when ``y`` is recorded.
+    values come back as plain arrays even when ``y`` is recorded. With
+    ``in_place``, an unrecorded ``y`` is formed in ``x``'s buffer, which the
+    caller owns.
     """
     xv, gv, bv = _val(x), _val(gamma), _val(beta)
     tape = _tape_of(x, gamma, beta)
     channel_axis %= xv.ndim
     y, new_mean, new_var, kept = ops._batch_norm(
         xv, gv, bv, running_mean, running_var, mode, channel_axis, eps, momentum,
-        keep_xhat=tape is not None)
+        keep_xhat=tape is not None, in_place=in_place)
     if tape is None:
         return y, new_mean, new_var
 
@@ -369,18 +375,20 @@ def batch_norm(x, gamma, beta, running_mean, running_var, *,
     return y_var, new_mean, new_var
 
 
-def upsample_nearest2x(x):
+def upsample_tokens2x(x):
+    """Tokens of the nearest 2x upsampling of a [..., C, H, W] map; see
+    :func:`pst.tensor_ops.upsample_tokens2x`."""
     xv = _val(x)
-    out = ops.upsample_nearest2x(xv)
+    out = ops.upsample_tokens2x(xv)
     tape = _tape_of(x)
     if tape is None:
         return out
-    *lead, h, w = xv.shape
+    h, w = xv.shape[-2:]
 
     def bwd(up):
-        return (up.reshape(*lead, h, 2, w, 2).sum(axis=(-3, -1)),)
+        return (ops.upsample_tokens2x_adjoint(up, h, w),)
 
-    return tape._emit("upsample_nearest2x", (x,), out, bwd)
+    return tape._emit("upsample_tokens2x", (x,), out, bwd)
 
 
 def downsample_avg2x(x):
@@ -558,11 +566,13 @@ def linear(v, w, b):
     return tape._emit("linear", (v, w, b), out, bwd)
 
 
-def silu(x):
+def silu(x, *, in_place: bool = False):
+    """``x * sigmoid(x)``; with ``in_place``, an unrecorded result is formed
+    in ``x``'s buffer, which the caller owns."""
     xv = _val(x)
     tape = _tape_of(x)
     if tape is None:
-        return ops.silu(xv)
+        return ops.silu(xv, out=xv if in_place else None)
     s = ops.sigmoid(xv)
     out = xv * s
 

@@ -3,7 +3,8 @@
 Timing uses ``time.perf_counter_ns`` with mandatory warmup. The headline
 comparison runs the pooled-key block against dense attention over every
 fine token at the same embedding width; the pooled path scores a quarter
-of the pairs and should win on the median.
+of the pairs and should win on the median. Each side's traced peak
+allocation is taken from one more, untimed call.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import os
 import subprocess
 import time
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -81,6 +83,8 @@ class BenchComparison:
     seed: int
     pooled: LatencyStats
     dense: LatencyStats
+    pooled_peak_mb: float  # traced peak allocation of one call, MiB
+    dense_peak_mb: float
     precision: str = "f32"
     workers: int = 1  # threads the pooled side's attention core ran on
 
@@ -93,8 +97,8 @@ class BenchComparison:
             f"n={self.n} tokens, dim={self.token_dim}",
             f"environment: {os.cpu_count() or 1} cpus, {self.precision}, "
             f"pooled attention core on {self.workers} thread(s)",
-            f"pooled block: {self.pooled.to_text()}",
-            f"dense:        {self.dense.to_text()}",
+            f"pooled block: {self.pooled.to_text()}  peak alloc {self.pooled_peak_mb:.2f} MiB",
+            f"dense:        {self.dense.to_text()}  peak alloc {self.dense_peak_mb:.2f} MiB",
             f"median ratio pooled/dense: {self.ratio:.3f}",
         ])
 
@@ -103,7 +107,8 @@ class BenchComparison:
         return {
             "n": self.n, "cprime": self.token_dim, "seed": self.seed,
             "precision": self.precision,
-            "pooled": self.pooled.to_dict(), "dense": self.dense.to_dict(),
+            "pooled": {**self.pooled.to_dict(), "peak_alloc_mb": self.pooled_peak_mb},
+            "dense": {**self.dense.to_dict(), "peak_alloc_mb": self.dense_peak_mb},
             "ratio": self.ratio,
             "machine": {**machine_info(), "attention_workers": self.workers},
             **source_commit(),
@@ -142,9 +147,25 @@ def source_commit() -> dict:
     return {"commit": commit, "commit_modified": None if status is None else bool(status)}
 
 
+def traced_peak_mb(fn) -> float:
+    """Peak memory ``tracemalloc`` sees allocated during one call of ``fn``,
+    in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def bench_psa_vs_dense(n: int = 4096, token_dim: int = 32, seed: int = 0, *,
                        repeats: int = MIN_REPEATS, warmup: int = MIN_WARMUP) -> BenchComparison:
-    """Coarse-only block versus dense attention across all fine tokens."""
+    """Coarse-only block versus dense attention across all fine tokens.
+
+    Both sides run inside :func:`pst.threads.single_blas_thread` (the pooled
+    block enters it itself where its attention shares units), so that no
+    call follows a threaded BLAS call whose worker still spins.
+    """
     side = int(np.sqrt(n))
     if side * side != n or side % 2:
         raise ValueError(f"token count {n} must be a square with even side")
@@ -159,18 +180,21 @@ def bench_psa_vs_dense(n: int = 4096, token_dim: int = 32, seed: int = 0, *,
         return psa_forward(x_map, u_map, params, cfg)
 
     def dense_run():
-        q = x_tokens @ params.wq.T
-        keys = x_tokens @ params.wk.T
-        vals = x_tokens @ params.wv.T
-        return dense_cross_attention(q, keys, vals, cfg.heads)
+        with threads.single_blas_thread():
+            q = x_tokens @ params.wq.T
+            keys = x_tokens @ params.wk.T
+            vals = x_tokens @ params.wv.T
+            return dense_cross_attention(q, keys, vals, cfg.heads)
 
     was_checking = ops._debug_checks
     ops.set_debug_checks(False)
     try:
         pooled, dense = benchmark_interleaved([pooled_run, dense_run],
                                               repeats=repeats, warmup=warmup)
+        pooled_peak, dense_peak = traced_peak_mb(pooled_run), traced_peak_mb(dense_run)
     finally:
         ops.set_debug_checks(was_checking)
     shared = ops.attention_shares_units(n, n // 4, cfg.heads)
     return BenchComparison(n=n, token_dim=token_dim, seed=seed, pooled=pooled, dense=dense,
+                           pooled_peak_mb=pooled_peak, dense_peak_mb=dense_peak,
                            workers=threads.scope_workers() if shared else 1)

@@ -32,6 +32,12 @@ fine stage, which are inference only, run per sample.
 The fine stage is an inference-time refinement: training runs with it
 disabled, and enabling it afterwards changes no parameter bytes. Non-finite
 input maps raise :class:`~pst.errors.NumericError` at the block boundary.
+
+An untaped call drops each token stack after its last reader and fuses the
+branches, the positional term and both normalizations in buffers it
+allocated itself; inputs, parameters, diagnostics and the keys, values and
+fine tokens :func:`psa_stack_forward` shares between stages are never
+written.
 """
 
 from __future__ import annotations
@@ -175,28 +181,32 @@ def _note_interactions(n: int) -> None:
 
 
 def _batch_norm(x, bn: BatchNormState, mode: str, stat_sink: Optional[list],
-                channel_axis: int):
+                channel_axis: int, in_place: bool):
     y, new_mean, new_var = ad.batch_norm(
         x, bn.gamma, bn.beta, bn.running_mean, bn.running_var,
-        mode=mode, channel_axis=channel_axis)
+        mode=mode, channel_axis=channel_axis, in_place=in_place)
     if stat_sink is not None and mode == "train":
         stat_sink.append((bn.running_mean, new_mean, bn.running_var, new_var))
     return y
 
 
-def normalize_tokens(tokens, bn: BatchNormState, mode: str, stat_sink: Optional[list]):
+def normalize_tokens(tokens, bn: BatchNormState, mode: str, stat_sink: Optional[list], *,
+                     in_place: bool = False):
     """One normalization site over a [..., N, d] token stack.
 
     Training statistics are gathered jointly across every sample of the
     stack, which is what makes the site a batch norm rather than a
-    per-sample norm.
+    per-sample norm. ``in_place`` is for a stack the caller allocated: an
+    unrecorded result then overwrites it.
     """
-    return _batch_norm(tokens, bn, mode, stat_sink, channel_axis=-1)
+    return _batch_norm(tokens, bn, mode, stat_sink, -1, in_place)
 
 
-def normalize_maps(maps, bn: BatchNormState, mode: str, stat_sink: Optional[list]):
-    """One normalization site over a [..., C, H, W] map stack, joint stats."""
-    return _batch_norm(maps, bn, mode, stat_sink, channel_axis=-3)
+def normalize_maps(maps, bn: BatchNormState, mode: str, stat_sink: Optional[list], *,
+                   in_place: bool = False):
+    """One normalization site over a [..., C, H, W] map stack, joint stats;
+    ``in_place`` as for :func:`normalize_tokens`."""
+    return _batch_norm(maps, bn, mode, stat_sink, -3, in_place)
 
 
 # --- attention stages ---------------------------------------------------------
@@ -285,13 +295,13 @@ def dense_cross_attention(q: np.ndarray, keys: np.ndarray, vals: np.ndarray, hea
 def conv_positional_encoding(v_tokens, coarse_dims: tuple[int, int], kernel):
     """Positional term: depthwise 7x7 over the value map, upsampled 2x.
 
-    The coarse value tokens are reshaped to their grid, convolved per
-    channel, nearest-upsampled to the fine grid, and re-flattened.
+    The coarse value tokens are reshaped to their grid and convolved per
+    channel; the nearest 2x upsampling of the result is written straight
+    out as fine-grid tokens.
     """
     hc, wc = coarse_dims
     v_map = ad.tokens_to_map(v_tokens, hc, wc)  # [..., d, hc, wc]
-    pe = ad.upsample_nearest2x(ad.depthwise_conv7x7(v_map, kernel))
-    return ad.map_to_tokens(pe)
+    return ad.upsample_tokens2x(ad.depthwise_conv7x7(v_map, kernel))
 
 
 def self_gate(out_coarse, out_fine, p: PsaParams, cfg: PsaConfig):
@@ -348,15 +358,24 @@ def _samples(lead: tuple, diagnostics: Optional[list]) -> list:
     return list(diagnostics)
 
 
-def _psa_tail(q, k, v, x_tokens, shared_wk, shared_wv, p: PsaParams, cfg: PsaConfig,
+def _psa_tail(tokens: list, shared_wk, shared_wv, p: PsaParams, cfg: PsaConfig,
               fine_dims: tuple[int, int], bn_mode: str, stat_sink, diagnostics: list):
     """Everything after the projections, over a [..., N, d] token stack.
 
-    The coarse stage, the positional term, the fusion and both normalization
-    sites run once over the stack; the normalizations gather statistics
-    across all of it. Top-k selection and the fine stage run per sample.
-    Returns the [..., N, d] fine-grid tokens.
+    ``tokens`` holds the queries, keys, values and fine tokens ``[q, k, v,
+    x_tokens]``; the list is emptied, so that each of them its caller does
+    not hold is freed after its last use. The coarse stage, the positional
+    term, the fusion and both normalization sites run once over the stack;
+    the normalizations gather statistics across all of it. Top-k selection
+    and the fine stage run per sample. Returns the [..., N, d] fine-grid
+    tokens.
+
+    Untaped, the fusion works in the buffers this function allocates: the
+    fine branch and the positional term are added into the coarse output,
+    and both normalizations overwrite their inputs.
     """
+    q, k, v, x_tokens = tokens
+    tokens.clear()
     h, w = fine_dims
     coarse_dims = (h // 2, w // 2)
     want_fine = cfg.fine_enabled and cfg.k > 0
@@ -368,38 +387,42 @@ def _psa_tail(q, k, v, x_tokens, shared_wk, shared_wv, p: PsaParams, cfg: PsaCon
 
     weights = ops.attention_weights_buffer(_val(q), _val(k), cfg.heads) if inspect else None
     out_coarse, scores = attention(q, k, v, cfg.heads, weights)
-    outs_fine = {}
+    del k
+    gating = cfg.fusion_mode == "self_gating"
+    branch_fine = np.zeros_like(_val(out_coarse)) if gating else None
     if want_fine or inspect:
         for idx, diag in zip(np.ndindex(*scores.shape[:-1]), diagnostics):
             selection = select_fine_indices(scores[idx], cfg, coarse_dims)
             if diag is not None:
                 diag.update(attention=weights[idx], key_scores=scores[idx], selection=selection)
             if want_fine and selection.fine_indices.size:
-                outs_fine[idx] = _fine_attention(
+                # Fine attention runs only untaped, on plain arrays; a sample
+                # with nothing selected keeps its coarse output as it is.
+                out_fine = _fine_attention(
                     q[idx], x_tokens[idx], shared_wk, shared_wv, selection, cfg.heads)
+                if gating:
+                    branch_fine[idx] = out_fine
+                else:
+                    out_coarse[idx] += out_fine
+    del q, x_tokens
 
-    if cfg.fusion_mode == "self_gating":
-        branch_fine = np.zeros_like(_val(out_coarse))
-        for idx, out_fine in outs_fine.items():
-            branch_fine[idx] = out_fine
+    if gating:
         gate = self_gate(out_coarse, branch_fine, p, cfg)
         inv_gate = ad.scalar_affine(gate, -1.0, 1.0)
         branches = ad.add(ad.mul(gate, branch_fine), ad.mul(inv_gate, out_coarse))
-    elif outs_fine:
-        # Fine attention runs only untaped, so the sum is plain arrays; a
-        # sample with nothing selected keeps its coarse output as it is.
-        branches = out_coarse.copy()
-        for idx, out_fine in outs_fine.items():
-            branches[idx] += out_fine
+        del gate, inv_gate, branch_fine
     else:
         branches = out_coarse
-    # Not held through the positional term and the output projection.
-    del out_coarse, outs_fine
+    del out_coarse
 
     positional = normalize_tokens(conv_positional_encoding(v, coarse_dims, p.cpe_kernel),
-                                  p.bn_cpe, bn_mode, stat_sink)
-    fused = ad.add(branches, positional)
-    return normalize_tokens(_project(fused, p.wo), p.bn_out, bn_mode, stat_sink)
+                                  p.bn_cpe, bn_mode, stat_sink, in_place=True)
+    del v
+    fused = ad.add(branches, positional, in_place=True)
+    del branches, positional
+    out = _project(fused, p.wo)
+    del fused
+    return normalize_tokens(out, p.bn_out, bn_mode, stat_sink, in_place=True)
 
 
 def block_scope(n: int, heads: int, samples: int):
@@ -438,14 +461,19 @@ def psa_forward_batch(x_maps, u_maps, p: PsaParams, cfg: PsaConfig, *,
     """
     x, u, listed = stack_pairs(x_maps, u_maps)
     _check_pair(x, u, cfg.token_dim)
-    diagnostics = _samples(_val(x).shape[:-3], diagnostics)
-    h, w = _val(x).shape[-2:]
-    with block_scope(h * w, cfg.heads, int(np.prod(_val(x).shape[:-3]))):
+    lead, (h, w) = _val(x).shape[:-3], _val(x).shape[-2:]
+    diagnostics = _samples(lead, diagnostics)
+    # CPython (3.11 and later) moves a call's arguments into the callee, so
+    # maps the caller passed as temporaries, such as the normalized maps of
+    # pst_forward_batch, are freed once their tokens exist.
+    del x_maps, u_maps
+    with block_scope(h * w, cfg.heads, int(np.prod(lead))):
         x_tokens = ad.map_to_tokens(x)
-        q, k, v = project_qkv(x_tokens, ad.map_to_tokens(u), p)
-        out = _psa_tail(q, k, v, x_tokens, p.wk, p.wv, p, cfg, (h, w),
-                        bn_mode, stat_sink, diagnostics)
-        maps = ad.tokens_to_map(out, h, w)
+        del x
+        tokens = [*project_qkv(x_tokens, ad.map_to_tokens(u), p), x_tokens]
+        del u, x_tokens
+        maps = ad.tokens_to_map(_psa_tail(tokens, p.wk, p.wv, p, cfg, (h, w),
+                                          bn_mode, stat_sink, diagnostics), h, w)
     return ad.unstack(maps) if listed else maps
 
 
@@ -476,9 +504,8 @@ def psa_stack_forward(x_map, u_map, params: list[PsaParams], cfg: PsaConfig, *,
     source = x_tokens
     stage_maps = []
     for p in params:
-        q = _project(source, p.wq)
-        out = _psa_tail(q, k, v, x_tokens, first.wk, first.wv, p, cfg, (h, w),
-                        bn_mode, stat_sink, [None])
+        out = _psa_tail([_project(source, p.wq), k, v, x_tokens], first.wk, first.wv, p, cfg,
+                        (h, w), bn_mode, stat_sink, [None])
         if debug_sink is not None:
             debug_sink["stage_kv"].append((k, v))
             debug_sink["stage_outputs"].append(out)

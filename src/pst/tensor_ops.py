@@ -12,9 +12,11 @@ case. Every op acts on each sample alone, and a sample of a stack gives the
 same bytes as the sample on its own; batch normalization in train mode is
 the one op that mixes samples, through its statistics.
 
-Operations are pure. Inputs are never mutated; batch normalization returns
-updated running statistics instead of writing them in place. Computation
-happens in the dtype of the inputs (float32 or float64).
+Operations do not mutate their inputs, except a buffer the caller hands
+over to be written (``silu``'s ``out``, ``_batch_norm``'s ``in_place``);
+batch normalization returns updated running statistics instead of writing
+them in place. Computation happens in the dtype of the inputs (float32 or
+float64).
 """
 
 from __future__ import annotations
@@ -38,6 +40,11 @@ _debug_checks = False
 # Most tap products one chunk of depthwise_conv7x7 holds: 256 KiB of float32,
 # which stays in L2 between the multiply that writes it and the reduce.
 DEPTHWISE_CHUNK = 1 << 16
+
+# Most elements each temporary of sigmoid and silu holds: the same 256 KiB of
+# float32, walked through every step while it stays in L2. A fixed size, not
+# a knob; an array of at most this many elements runs whole.
+ACTIVATION_CHUNK = 1 << 16
 
 
 def set_debug_checks(enabled: bool) -> None:
@@ -391,12 +398,15 @@ def batch_norm(
 
 
 def _batch_norm(x, gamma, beta, running_mean, running_var, mode, channel_axis, eps, momentum,
-                keep_xhat: bool):
+                keep_xhat: bool, in_place: bool = False):
     """:func:`batch_norm`, plus ``(xhat, inv)`` when ``keep_xhat``: the
     standardized input ``(x - mean) * inv`` and the per-channel ``inv``,
     which a backward rule needs. ``y = xhat * gamma + beta`` is then formed
     in a buffer of its own instead of in x-hat's, by the same operations in
-    the same order, so ``y`` has the same bytes either way."""
+    the same order, so ``y`` has the same bytes either way. With
+    ``in_place`` (and not ``keep_xhat``), ``y`` is formed in ``x``'s own
+    buffer when ``x - mean`` has ``x``'s dtype, again by the same
+    operations."""
     if mode not in ("train", "infer"):
         raise ValueError(f"batch_norm mode must be 'train' or 'infer', got {mode!r}")
     channel_axis %= x.ndim
@@ -420,7 +430,8 @@ def _batch_norm(x, gamma, beta, running_mean, running_var, mode, channel_axis, e
         new_mean = running_mean
         new_var = running_var
     inv = 1.0 / np.sqrt(var.reshape(pshape) + eps)
-    xhat = x - mean.reshape(pshape)
+    in_place = in_place and not keep_xhat and np.result_type(x, mean) == x.dtype
+    xhat = np.subtract(x, mean.reshape(pshape), out=x if in_place else None)
     xhat *= inv
     g = gamma.reshape(pshape)
     y = xhat * g if keep_xhat else np.multiply(xhat, g, out=xhat)
@@ -444,10 +455,39 @@ def channel_stats(x: np.ndarray, channel_axis: int) -> tuple[np.ndarray, np.ndar
     return mean, np.true_divide(var, np.intp(rows.shape[0]), out=var, casting="unsafe")
 
 
-def upsample_nearest2x(x: np.ndarray) -> np.ndarray:
-    """Replicate each pixel of a [..., C, H, W] map into a 2x2 block."""
-    _require_map("upsample_nearest2x", x)
-    return np.repeat(np.repeat(x, 2, axis=-2), 2, axis=-1)
+def upsample_tokens2x(x: np.ndarray) -> np.ndarray:
+    """Nearest 2x upsampling of a [..., C, H, W] map, as the [..., 4HW, C]
+    tokens of the upsampled map: token ``(2i + a) * 2W + 2j + b`` holds pixel
+    ``(i, j)`` for ``a, b`` in {0, 1}. One copy from the channel-last view of
+    ``x``, which the output of :func:`depthwise_conv7x7` already is."""
+    _require_map("upsample_tokens2x", x)
+    *lead, c, h, w = x.shape
+    nl = len(lead)
+    out = np.empty((*lead, h, 2, w, 2, c), dtype=x.dtype)
+    out[...] = x.transpose(*range(nl), nl + 1, nl + 2, nl)[..., :, None, :, None, :]
+    return _checked(out.reshape(*lead, 4 * h * w, c))
+
+
+def upsample_tokens2x_adjoint(t: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Adjoint of :func:`upsample_tokens2x` onto an ``h x w`` grid: each
+    pixel of the [..., C, h, w] map (a channel-last view) sums its four
+    children in ``t``.
+
+    Adds ``(t00 + t01) + (t10 + t11)`` (row offset, then column offset) over
+    strided views: the order, and so the bytes, of numpy's sum over the 2x2
+    blocks of the reshaped channel-first map, except at width 1, where numpy
+    adds the four in sequence, and so does this.
+    """
+    *lead, _, c = t.shape
+    b = t.reshape(*lead, h, 2, w, 2, c)
+    out = b[..., 0, :, 0, :] + b[..., 0, :, 1, :]
+    if w == 1:
+        out += b[..., 1, :, 0, :]
+        out += b[..., 1, :, 1, :]
+    else:
+        out += b[..., 1, :, 0, :] + b[..., 1, :, 1, :]
+    nl = len(lead)
+    return out.transpose(*range(nl), nl + 2, nl, nl + 1)
 
 
 def downsample_avg2x(x: np.ndarray) -> np.ndarray:
@@ -536,8 +576,11 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     NaN of ``x`` itself, where ``-|x|`` would flip the sign bit of a NaN.
     The numerator ``max(e, x >= 0)`` is the select ``1 if x >= 0 else e``:
     where ``x >= 0``, ``e = exp(-x)`` is at most 1; elsewhere ``e`` is at
-    least 0, and a NaN ``e`` wins the maximum.
+    least 0, and a NaN ``e`` wins the maximum. An array of more than
+    :data:`ACTIVATION_CHUNK` elements runs in chunks (see :func:`silu`).
     """
+    if x.size > ACTIVATION_CHUNK:
+        return _checked(_by_chunks(x, np.empty_like(x), times_x=False))
     e = np.negative(x)
     np.minimum(x, e, out=e)
     np.exp(e, out=e)
@@ -547,7 +590,40 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return _checked(e)
 
 
-def silu(x: np.ndarray) -> np.ndarray:
-    """x * sigmoid(x), formed in the sigmoid's buffer."""
+def silu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """x * sigmoid(x), into ``out`` when given (``x`` itself may be it).
+
+    An array of more than :data:`ACTIVATION_CHUNK` elements runs in chunks
+    of at most that many, each through every step before the next, so that
+    no temporary is larger than a chunk; each element takes the same steps,
+    and so has the same bytes, either way.
+    """
+    if x.size > ACTIVATION_CHUNK:
+        return _checked(_by_chunks(x, np.empty_like(x) if out is None else out, times_x=True))
     s = sigmoid(x)
-    return _checked(np.multiply(x, s, out=s))
+    return _checked(np.multiply(x, s, out=s if out is None else out))
+
+
+def _by_chunks(x: np.ndarray, out: np.ndarray, times_x: bool) -> np.ndarray:
+    """The steps of :func:`sigmoid` over ``x``, then a product with ``x``
+    when ``times_x``, into ``out`` (which may be ``x``), one
+    :data:`ACTIVATION_CHUNK` after another through a buffered iterator; each
+    temporary holds one chunk."""
+    scratch = np.empty(ACTIVATION_CHUNK, dtype=x.dtype) if times_x else None
+    den = np.empty(ACTIVATION_CHUNK, dtype=x.dtype)
+    mask = np.empty(ACTIVATION_CHUNK, dtype=bool)
+    with np.nditer([x, out], flags=["external_loop", "buffered"],
+                   op_flags=[["readonly"], ["writeonly"]], buffersize=ACTIVATION_CHUNK) as it:
+        for xc, oc in it:
+            n = xc.shape[0]
+            e = scratch[:n] if times_x else oc
+            np.negative(xc, out=e)
+            np.minimum(xc, e, out=e)
+            np.exp(e, out=e)
+            np.add(e, 1, out=den[:n])
+            np.greater_equal(xc, 0, out=mask[:n])
+            np.maximum(e, mask[:n], out=e, dtype=x.dtype)
+            np.divide(e, den[:n], out=e)
+            if times_x:
+                np.multiply(xc, e, out=oc)
+    return out

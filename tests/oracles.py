@@ -191,6 +191,23 @@ def silu_grad_direct(x, up):
     return ((1.0 - s) * x + 1.0) * s * up
 
 
+def upsample_tokens_repeat(x):
+    """Tokens of a [..., C, H, W] map upsampled 2x by repeating each row and
+    column."""
+    up = np.repeat(np.repeat(x, 2, axis=-2), 2, axis=-1)
+    *lead, c, h, w = up.shape
+    return np.ascontiguousarray(up.reshape(*lead, c, h * w).swapaxes(-1, -2))
+
+
+def upsample_adjoint_block_sum(t, h, w):
+    """Adjoint of :func:`upsample_tokens_repeat`: the [..., 4hw, C] tokens
+    back on their channel-first map, each 2x2 block summed by numpy over
+    the two block axes of the reshaped map."""
+    *lead, _, c = t.shape
+    up = np.ascontiguousarray(t.swapaxes(-1, -2))
+    return up.reshape(*lead, c, h, 2, w, 2).sum(axis=(-3, -1))
+
+
 def depthwise_49_taps(x, kernel):
     """A [..., C, H, W] map correlated with [C, 7, 7] taps: the 49 shifted
     products of a zero-padded copy, added one tap at a time in row-major

@@ -87,8 +87,8 @@ def _bn_case(mode, channel_axis, shape):
 
 def _case_upsample(rng):
     params = {"x": rng.standard_normal((2, 2, 3))}
-    r = rng.standard_normal((2, 4, 6))
-    return params, lambda p: _probe_loss(ad.upsample_nearest2x(p["x"]), r)
+    r = rng.standard_normal((24, 2))
+    return params, lambda p: _probe_loss(ad.upsample_tokens2x(p["x"]), r)
 
 
 def _case_downsample(rng):
@@ -252,7 +252,7 @@ OP_CASES = {
     "batch_norm_infer_map": _bn_case("infer", 0, (3, 4, 4)),
     "batch_norm_train_tokens": _bn_case("train", 1, (8, 3)),
     "batch_norm_infer_tokens": _bn_case("infer", 1, (8, 3)),
-    "upsample_nearest2x": _case_upsample,
+    "upsample_tokens2x": _case_upsample,
     "downsample_avg2x": _case_downsample,
     "concat_channels": _case_concat_channels,
     "map_to_tokens": _case_map_to_tokens,
@@ -279,7 +279,7 @@ OP_CASES = {
     "batch_norm_infer_map_batched": _bn_case("infer", -3, (2, 3, 3, 2)),
     "batch_norm_train_tokens_batched": _bn_case("train", -1, (2, 4, 3)),
     "batch_norm_infer_tokens_batched": _bn_case("infer", -1, (2, 4, 3)),
-    "upsample_nearest2x_batched": _batched(ad.upsample_nearest2x, (2, 2, 2, 3)),
+    "upsample_tokens2x_batched": _batched(ad.upsample_tokens2x, (2, 2, 2, 3)),
     "downsample_avg2x_batched": _batched(ad.downsample_avg2x, (2, 2, 4, 6)),
     "concat_channels_batched": _batched(ad.concat_channels, (2, 2, 3, 3), (2, 1, 3, 3)),
     "map_to_tokens_batched": _batched(ad.map_to_tokens, (2, 2, 3, 4)),

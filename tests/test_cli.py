@@ -89,8 +89,9 @@ class TestBench:
         assert (record["n"], record["cprime"], record["seed"]) == (64, 8, 3)
         for side in ("pooled", "dense"):
             stats = record[side]
-            assert set(stats) == {"median_ms", "p10_ms", "p90_ms", "runs"}
+            assert set(stats) == {"median_ms", "p10_ms", "p90_ms", "runs", "peak_alloc_mb"}
             assert stats["runs"] == 10
+            assert stats["peak_alloc_mb"] > 0
             assert 0 < stats["p10_ms"] <= stats["median_ms"] <= stats["p90_ms"]
         assert record["ratio"] == pytest.approx(
             record["pooled"]["median_ms"] / record["dense"]["median_ms"], rel=1e-12)

@@ -1,5 +1,7 @@
 """Interaction accounting and the timing harness."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -139,7 +141,36 @@ class TestPsaVsDense:
         monkeypatch.setattr(bench, "dense_cross_attention",
                             lambda *a, **k: order.append("dense"))
         bench.bench_psa_vs_dense(n=64, token_dim=8, repeats=10, warmup=3)
-        assert order == ["pooled", "dense"] * 13
+        # Warmup and timed calls, then one untimed call each for the traced peak.
+        assert order == ["pooled", "dense"] * 14
+
+    def test_dense_side_runs_in_the_thread_scope(self, monkeypatch):
+        depth = [0]
+        seen = []
+
+        @contextlib.contextmanager
+        def scope():
+            depth[0] += 1
+            try:
+                yield
+            finally:
+                depth[0] -= 1
+
+        def dense(*args, **kwargs):
+            seen.append(depth[0])
+            return np.zeros(1)
+
+        monkeypatch.setattr(threads, "single_blas_thread", scope)
+        monkeypatch.setattr(bench, "dense_cross_attention", dense)
+        bench.bench_psa_vs_dense(n=64, token_dim=8, repeats=10, warmup=3)
+        assert seen == [1] * 14
+
+    def test_peak_allocation_per_side(self):
+        cmp = bench.bench_psa_vs_dense(n=256, token_dim=8, repeats=10, warmup=3)
+        # Dense attention holds its [256, 256] weights tile; the pooled side
+        # at most a [256, 64] one.
+        assert cmp.dense_peak_mb > 256 * 256 * 4 / 2**20 > cmp.pooled_peak_mb > 0
+        assert "peak alloc" in cmp.to_text()
 
     def test_outputs_deterministic_across_timing(self):
         """The benchmark times fixed-seed closures; rerunning them is pure."""

@@ -668,6 +668,26 @@ class TestPsaStack:
         # the first stage is the plain block; later stages query its output
         assert np.array_equal(out[:8], psa.psa_forward(x_map, u_map, params[0], cfg))
 
+    @pytest.mark.parametrize("fine_enabled", [False, True])
+    def test_shared_tokens_inputs_and_parameters_stay_unchanged(self, fine_enabled):
+        rng = np.random.default_rng(55)
+        x_map, u_map = make_pair(rng, dtype=np.float32)
+        cfg = psa.PsaConfig(token_dim=8, k=3, fine_enabled=fine_enabled, stack_depth=3)
+        params = [make_params(cfg, seed=s, dtype=np.float32) for s in (56, 57, 58)]
+        before = [x_map.copy(), u_map.copy()] + [
+            a.copy() for p in params for a in named_arrays(p).values()]
+        sink = {}
+        out = psa.psa_stack_forward(x_map, u_map, params, cfg, debug_sink=sink)
+        after = [x_map, u_map] + [a for p in params for a in named_arrays(p).values()]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(after, before))
+        k, v = sink["stage_kv"][0]
+        u_tokens = ops.map_to_tokens(u_map)
+        assert k.tobytes() == (u_tokens @ params[0].wk.T).tobytes()
+        assert v.tobytes() == (u_tokens @ params[0].wv.T).tobytes()
+        for i, tokens in enumerate(sink["stage_outputs"]):
+            assert np.array_equal(out[8 * i : 8 * i + 8], ops.tokens_to_map(tokens, 8, 8))
+        assert np.array_equal(out[:8], psa.psa_forward(x_map, u_map, params[0], cfg))
+
     def test_parameter_count_check(self):
         rng = np.random.default_rng(54)
         x_map, u_map = make_pair(rng)

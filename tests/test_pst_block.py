@@ -1,4 +1,6 @@
-"""Fusion block: forward contract, parameter accounting, scaling rules."""
+"""Fusion block: forward contract, parameter accounting, scaling rules, memory."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from pst import pst_block as blk
 from pst.errors import AccountingError, ContractError, DimensionError, NumericError
 from pst.params import named_arrays
 from pst import psa
+from pst import tensor_ops as ops
 from pst.psa import PsaConfig
 
 
@@ -178,6 +181,64 @@ class TestBatching:
             single = {}
             blk.pst_forward(x, u, p, cfg, diagnostics=single)
             assert np.array_equal(diag["key_scores"], single["key_scores"])
+
+def block_scale_case(n, dtype=np.float32):
+    """The block of the block-scale benchmark: 32 fine and 64 coarse raw
+    channels, token width 64 (two heads), k=8, refinement on, over ``n``
+    fine tokens."""
+    cfg = blk.PstConfig(fine_channels=32, coarse_channels=64, token_dim=64,
+                        psa=PsaConfig(token_dim=64, k=8, fine_enabled=True))
+    rng = np.random.default_rng([1, n])
+    p = blk.PstParams.create(cfg, rng, dtype)
+    side = int(round(n ** 0.5))
+    x = rng.standard_normal((32, side, side)).astype(np.float32)
+    u = rng.standard_normal((64, side // 2, side // 2)).astype(np.float32)
+    return x, u, p, cfg
+
+
+class TestMemory:
+    # Traced peak of one 4096-token call, 8.64 to 8.72 MiB when measured, plus
+    # 5%. A block holding each of its intermediates to the end of the call,
+    # with an unchunked SiLU, peaked at 9.97 MiB.
+    PEAK_4096 = int(1.05 * 8.72 * 2**20)
+
+    def test_traced_peak_of_one_4096_token_call(self):
+        x, u, p, cfg = block_scale_case(4096)
+        ops.set_debug_checks(False)  # its finiteness masks are temporaries of their own
+        blk.pst_forward(x, u, p, cfg)
+        tracemalloc.start()
+        try:
+            blk.pst_forward(x, u, p, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.PEAK_4096
+
+    @pytest.mark.parametrize("param_dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("fusion_mode", ["sum", "self_gating"])
+    @pytest.mark.parametrize("diagnose", [False, True])
+    def test_infer_call_leaves_inputs_and_parameters_unchanged(self, param_dtype, fusion_mode,
+                                                              diagnose):
+        rng = np.random.default_rng(12)
+        cfg = small_cfg(k=3, fine_enabled=True, fusion_mode=fusion_mode)
+        p = blk.PstParams.create(cfg, rng, param_dtype)
+        pairs = [make_inputs(rng, cfg, dtype=np.float32) for _ in range(2)]
+        inputs = [a for pair in pairs for a in pair]
+        before = [a.copy() for a in inputs] + [a.copy() for a in named_arrays(p).values()]
+        diags = [{}, {}] if diagnose else None
+        outs = blk.pst_forward_batch([x for x, _ in pairs], [u for _, u in pairs], p, cfg,
+                                     diagnostics=diags)
+        after = inputs + list(named_arrays(p).values())
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(after, before))
+        for (x, u), out, diag in zip(pairs, outs, diags or [None, None]):
+            single = {} if diagnose else None
+            assert np.array_equal(blk.pst_forward(x, u, p, cfg, diagnostics=single), out)
+            if diagnose:
+                # The weights and scores handed out stay those of the call.
+                assert np.allclose(diag["attention"].mean(axis=(0, 1)), diag["key_scores"],
+                                   rtol=1e-5, atol=0)
+                assert np.array_equal(diag["attention"], single["attention"])
+
 
 class TestGradients:
     def test_full_block_infer_gradcheck(self):

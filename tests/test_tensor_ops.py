@@ -100,6 +100,77 @@ class TestSigmoid:
             assert ops.sigmoid(x).tobytes() == oracles.sigmoid_two_branch(x).tobytes()
 
 
+CHUNK = ops.ACTIVATION_CHUNK
+
+
+class TestActivationChunks:
+    """Over more than ``ACTIVATION_CHUNK`` elements, sigmoid and silu run in
+    chunks; the bytes are those of the whole-array form."""
+
+    @staticmethod
+    def whole(fn, x, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(ops, "ACTIVATION_CHUNK", max(CHUNK, x.size))
+            return fn(x)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", [0, 5, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+    def test_bytes_equal_whole_form(self, dtype, size, monkeypatch):
+        rng = np.random.default_rng(size)
+        x = (rng.standard_normal(size) * 30).astype(dtype)
+        # No -NaN: which NaN's sign x * s keeps depends on the multiply loop.
+        x[::997] = np.resize(np.array([0.0, -0.0, np.inf, -np.inf, np.nan], dtype=dtype),
+                             x[::997].size)
+        ops.set_debug_checks(False)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for fn, oracle in ((ops.sigmoid, oracles.sigmoid_two_branch),
+                               (ops.silu, oracles.silu_two_branch)):
+                got = fn(x)
+                assert got.dtype == x.dtype and got.shape == x.shape
+                assert got.tobytes() == self.whole(fn, x, monkeypatch).tobytes()
+                assert got.tobytes() == oracle(x).tobytes()
+            y = x.copy()
+            assert ops.silu(y, out=y) is y
+            assert y.tobytes() == oracles.silu_two_branch(x).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("view", ["step", "transposed", "reversed", "column"])
+    def test_non_contiguous_views(self, dtype, view, monkeypatch):
+        base = (np.random.default_rng(3).standard_normal((8, 150, 170)) * 30).astype(dtype)
+        x = {"step": base[::2], "transposed": base.transpose(2, 0, 1),
+             "reversed": base[..., ::-1], "column": base[:, :, 1::3]}[view]
+        assert x.size > CHUNK and not x.flags.c_contiguous
+        dense = np.ascontiguousarray(x)
+        for fn, oracle in ((ops.sigmoid, oracles.sigmoid_two_branch),
+                           (ops.silu, oracles.silu_two_branch)):
+            got = fn(x)
+            assert np.ascontiguousarray(got).tobytes() == oracle(dense).tobytes()
+            assert got.tobytes() == self.whole(fn, x, monkeypatch).tobytes()
+        before = base.copy()
+        ops.silu(x, out=x)
+        assert np.ascontiguousarray(x).tobytes() == oracles.silu_two_branch(dense).tobytes()
+        untouched = np.ones(base.shape, dtype=bool)
+        untouched[{"step": np.s_[::2], "transposed": np.s_[...], "reversed": np.s_[...],
+                   "column": np.s_[:, :, 1::3]}[view]] = False
+        assert np.array_equal(base[untouched], before[untouched])
+
+    def test_temporaries_stay_within_a_chunk(self):
+        x = np.random.default_rng(4).standard_normal((128, 4096)).astype(np.float32)
+        ops.set_debug_checks(False)
+        scratch = 3 * CHUNK * x.itemsize + 64 * 1024  # two float chunks, a mask, slack
+        for call, bound in ((lambda: ops.silu(x, out=x), scratch),
+                            (lambda: ops.silu(x), x.nbytes + scratch),
+                            (lambda: ops.sigmoid(x), x.nbytes + scratch)):
+            call()
+            tracemalloc.start()
+            try:
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound
+
+
 class TestConv1x1:
     def test_identity_weight(self):
         x = np.random.default_rng(3).standard_normal((4, 3, 5))
@@ -329,18 +400,36 @@ class TestBatchNorm:
 
 class TestResampling:
     def test_upsample_single_pixel(self):
-        out = ops.upsample_nearest2x(np.full((1, 1, 1), 5.0))
-        assert np.array_equal(out, np.full((1, 2, 2), 5.0))
+        out = ops.upsample_tokens2x(np.full((1, 1, 1), 5.0))
+        assert np.array_equal(out, np.full((4, 1), 5.0))
 
     def test_upsample_block_pattern(self):
         x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-        out = ops.upsample_nearest2x(x)
+        out = ops.tokens_to_map(ops.upsample_tokens2x(x), 4, 4)
         assert np.array_equal(out[0], [
             [1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]])
 
+    @pytest.mark.parametrize("shape", [(3, 4, 6), (2, 5, 1, 3), (2, 1, 3, 5, 2), (4, 1, 1)])
+    def test_upsample_tokens_equal_repeated_map(self, shape):
+        x = np.random.default_rng(11).standard_normal(shape).astype(np.float32)
+        assert ops.upsample_tokens2x(x).tobytes() == oracles.upsample_tokens_repeat(x).tobytes()
+
     def test_down_up_round_trip(self):
         x = np.random.default_rng(12).standard_normal((3, 4, 6))
-        assert np.array_equal(ops.downsample_avg2x(ops.upsample_nearest2x(x)), x)
+        up = ops.tokens_to_map(ops.upsample_tokens2x(x), 8, 12)
+        assert np.array_equal(ops.downsample_avg2x(up), x)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lead, c, h, w", [
+        ((), 1, 1, 1), ((), 3, 2, 1), ((3,), 5, 3, 1), ((), 2, 1, 2), ((2, 3), 3, 2, 2),
+        ((5,), 40, 1, 3), ((3,), 7, 3, 5), ((2, 1, 3), 4, 4, 4), ((32,), 32, 4, 4)])
+    def test_upsample_adjoint_bytes_equal_numpy_block_sum(self, dtype, lead, c, h, w):
+        rng = np.random.default_rng([c, h, w])
+        shape = (*lead, 4 * h * w, c)
+        t = (rng.standard_normal(shape) * 10.0 ** rng.uniform(-4, 4, shape)).astype(dtype)
+        got = ops.upsample_tokens2x_adjoint(t, h, w)
+        assert got.shape == (*lead, c, h, w)
+        assert got.tobytes() == oracles.upsample_adjoint_block_sum(t, h, w).tobytes()
 
     def test_downsample_constant(self):
         out = ops.downsample_avg2x(np.full((2, 4, 4), 7.0))

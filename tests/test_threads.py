@@ -197,6 +197,25 @@ def test_block_bytes_equal_the_single_threaded_core(n):
     assert got == BLOCK_DIGESTS[n]
 
 
+# SHA-256 prefix of a three-stage psa_stack_forward output, on the platform
+# above, taken while every stage still held its intermediates to the end and
+# summed its branches out of place.
+STACK_DIGEST = "dcc49c2e2422851ffa95461266c58c70"
+
+
+@needs_control
+def test_stack_bytes_equal_the_recorded_stack():
+    if _platform() != DIGEST_PLATFORM:
+        pytest.skip("digest was recorded with another numpy, BLAS build or CPU")
+    cfg = psa.PsaConfig(token_dim=64, k=8, fine_enabled=True, stack_depth=3)
+    rng = np.random.default_rng(21)
+    params = [psa.PsaParams.create(cfg, rng, np.float32) for _ in range(3)]
+    x = rng.standard_normal((64, 32, 32)).astype(np.float32)
+    u = rng.standard_normal((64, 16, 16)).astype(np.float32)
+    out = psa.psa_stack_forward(x, u, params, cfg)
+    assert hashlib.sha256(out.tobytes()).hexdigest()[:32] == STACK_DIGEST
+
+
 # --- scope and pool robustness ------------------------------------------------------
 
 def _small_block(heads=2):
