@@ -149,7 +149,14 @@ def source_commit() -> dict:
 
 def traced_peak_mb(fn) -> float:
     """Peak memory ``tracemalloc`` sees allocated during one call of ``fn``,
-    in MiB."""
+    in MiB, above what was traced when the call began. A tracing session
+    already running (``python -X tracemalloc``, say) is left running with
+    its traces; its recorded peak is reset."""
+    if tracemalloc.is_tracing():
+        tracemalloc.reset_peak()
+        baseline = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - baseline) / 2**20
     tracemalloc.start()
     try:
         fn()

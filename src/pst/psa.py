@@ -190,22 +190,22 @@ def _batch_norm(x, bn: BatchNormState, mode: str, stat_sink: Optional[list],
     return y
 
 
-def normalize_tokens(tokens, bn: BatchNormState, mode: str, stat_sink: Optional[list], *,
-                     in_place: bool = False):
+def normalize_tokens(tokens, bn: BatchNormState, mode: str, stat_sink: Optional[list]):
     """One normalization site over a [..., N, d] token stack.
 
     Training statistics are gathered jointly across every sample of the
     stack, which is what makes the site a batch norm rather than a
-    per-sample norm. ``in_place`` is for a stack the caller allocated: an
-    unrecorded result then overwrites it.
+    per-sample norm. An unrecorded result overwrites ``tokens``, so the
+    stack must be one the caller allocated and reads no more.
     """
-    return _batch_norm(tokens, bn, mode, stat_sink, -1, in_place)
+    return _batch_norm(tokens, bn, mode, stat_sink, -1, True)
 
 
 def normalize_maps(maps, bn: BatchNormState, mode: str, stat_sink: Optional[list], *,
                    in_place: bool = False):
-    """One normalization site over a [..., C, H, W] map stack, joint stats;
-    ``in_place`` as for :func:`normalize_tokens`."""
+    """One normalization site over a [..., C, H, W] map stack, joint stats.
+    With ``in_place``, an unrecorded result overwrites ``maps``, which must
+    then be a stack the caller allocated."""
     return _batch_norm(maps, bn, mode, stat_sink, -3, in_place)
 
 
@@ -416,13 +416,13 @@ def _psa_tail(tokens: list, shared_wk, shared_wv, p: PsaParams, cfg: PsaConfig,
     del out_coarse
 
     positional = normalize_tokens(conv_positional_encoding(v, coarse_dims, p.cpe_kernel),
-                                  p.bn_cpe, bn_mode, stat_sink, in_place=True)
+                                  p.bn_cpe, bn_mode, stat_sink)
     del v
     fused = ad.add(branches, positional, in_place=True)
     del branches, positional
     out = _project(fused, p.wo)
     del fused
-    return normalize_tokens(out, p.bn_out, bn_mode, stat_sink, in_place=True)
+    return normalize_tokens(out, p.bn_out, bn_mode, stat_sink)
 
 
 def block_scope(n: int, heads: int, samples: int):
@@ -459,22 +459,31 @@ def psa_forward_batch(x_maps, u_maps, p: PsaParams, cfg: PsaConfig, *,
     receives its attention weights, key scores, and selection. A non-finite
     value in any map raises :class:`NumericError`.
     """
-    x, u, listed = stack_pairs(x_maps, u_maps)
+    *pair, listed = stack_pairs(x_maps, u_maps)
+    maps = psa_forward_pair(pair, p, cfg, bn_mode, stat_sink, diagnostics)
+    return ad.unstack(maps) if listed else maps
+
+
+def psa_forward_pair(pair: list, p: PsaParams, cfg: PsaConfig, bn_mode: str,
+                     stat_sink: Optional[list], diagnostics: Optional[list]):
+    """:func:`psa_forward_batch` on a ``[x, u]`` pair of stacks.
+
+    The list is emptied, so that a map its caller does not hold (the
+    normalized maps of :func:`pst.pst_block.pst_forward_batch`, say) is freed
+    as soon as its tokens exist.
+    """
+    x, u = pair
+    pair.clear()
     _check_pair(x, u, cfg.token_dim)
     lead, (h, w) = _val(x).shape[:-3], _val(x).shape[-2:]
     diagnostics = _samples(lead, diagnostics)
-    # CPython (3.11 and later) moves a call's arguments into the callee, so
-    # maps the caller passed as temporaries, such as the normalized maps of
-    # pst_forward_batch, are freed once their tokens exist.
-    del x_maps, u_maps
     with block_scope(h * w, cfg.heads, int(np.prod(lead))):
         x_tokens = ad.map_to_tokens(x)
         del x
         tokens = [*project_qkv(x_tokens, ad.map_to_tokens(u), p), x_tokens]
         del u, x_tokens
-        maps = ad.tokens_to_map(_psa_tail(tokens, p.wk, p.wv, p, cfg, (h, w),
+        return ad.tokens_to_map(_psa_tail(tokens, p.wk, p.wv, p, cfg, (h, w),
                                           bn_mode, stat_sink, diagnostics), h, w)
-    return ad.unstack(maps) if listed else maps
 
 
 def psa_stack_forward(x_map, u_map, params: list[PsaParams], cfg: PsaConfig, *,

@@ -24,7 +24,7 @@ from . import autodiff as ad
 from . import tensor_ops as ops
 from .errors import AccountingError, ContractError, DimensionError
 from .params import BatchNormState, kaiming, named_arrays
-from .psa import (PsaConfig, PsaParams, block_scope, normalize_maps, psa_forward_batch,
+from .psa import (PsaConfig, PsaParams, block_scope, normalize_maps, psa_forward_pair,
                   stack_pairs)
 
 _SIZE_FACTORS = {"N": 1, "S": 2, "M": 4}
@@ -135,12 +135,12 @@ def pst_forward_batch(x_raws, u_raws, p: PstParams, cfg: PstConfig, *,
     # Untaped, every normalization, the SiLU and the residual sum overwrite a
     # buffer the block allocated, and each map is dropped after its last use.
     with block_scope(xs[-2] * xs[-1], cfg.psa.heads, int(np.prod(xs[:-3]))):
-        m = psa_forward_batch(
-            normalize_maps(ad.conv1x1(x, p.in_conv_x), p.bn_x, bn_mode, stat_sink,
-                           in_place=True),
-            normalize_maps(ad.conv1x1(u, p.in_conv_u), p.bn_u, bn_mode, stat_sink,
-                           in_place=True),
-            p.psa, cfg.psa, bn_mode=bn_mode, stat_sink=stat_sink, diagnostics=diagnostics)
+        m = psa_forward_pair(
+            [normalize_maps(ad.conv1x1(x, p.in_conv_x), p.bn_x, bn_mode, stat_sink,
+                            in_place=True),
+             normalize_maps(ad.conv1x1(u, p.in_conv_u), p.bn_u, bn_mode, stat_sink,
+                            in_place=True)],
+            p.psa, cfg.psa, bn_mode, stat_sink, diagnostics)
         hidden = ad.silu(ad.conv1x1(m, p.mlp_expand), in_place=True)
         refined = ad.conv1x1(hidden, p.mlp_project)
         del hidden

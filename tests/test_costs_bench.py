@@ -1,6 +1,7 @@
 """Interaction accounting and the timing harness."""
 
 import contextlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,6 +172,18 @@ class TestPsaVsDense:
         # at most a [256, 64] one.
         assert cmp.dense_peak_mb > 256 * 256 * 4 / 2**20 > cmp.pooled_peak_mb > 0
         assert "peak alloc" in cmp.to_text()
+
+    def test_traced_peak_inside_a_running_session(self):
+        tracemalloc.start()
+        try:
+            held = np.ones(2**20, np.uint8)
+            np.ones(2**22, np.uint8)  # an earlier 4 MiB peak
+            peak = bench.traced_peak_mb(lambda: np.ones(2**18, np.uint8))
+            assert tracemalloc.is_tracing()
+            assert tracemalloc.get_traced_memory()[0] >= held.nbytes
+            assert 0.25 <= peak < 0.5
+        finally:
+            tracemalloc.stop()
 
     def test_outputs_deterministic_across_timing(self):
         """The benchmark times fixed-seed closures; rerunning them is pure."""

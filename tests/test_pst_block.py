@@ -1,6 +1,7 @@
 """Fusion block: forward contract, parameter accounting, scaling rules, memory."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -213,6 +214,30 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak <= self.PEAK_4096
+
+    def test_normalized_fine_map_is_freed_once_its_tokens_exist(self, monkeypatch):
+        # The block hands its normalized maps over in a list the attention
+        # body empties, which frees them on any interpreter version.
+        rng = np.random.default_rng(13)
+        cfg = small_cfg()
+        p = blk.PstParams.create(cfg, rng, np.float64)
+        x, u = make_inputs(rng, cfg)
+        maps, alive = [], []
+        to_tokens, project = ad.map_to_tokens, psa.project_qkv
+
+        def record(m):
+            maps.append(weakref.ref(m))
+            return to_tokens(m)
+
+        def check(x_tokens, u_tokens, params):
+            alive.extend(ref() is not None for ref in maps)
+            return project(x_tokens, u_tokens, params)
+
+        monkeypatch.setattr(ad, "map_to_tokens", record)
+        monkeypatch.setattr(psa, "project_qkv", check)
+        blk.pst_forward(x, u, p, cfg)
+        # The coarse map is still the body's own local while it projects.
+        assert alive == [False, True]
 
     @pytest.mark.parametrize("param_dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("fusion_mode", ["sum", "self_gating"])
