@@ -8,8 +8,9 @@ separable dataset; the sparse refinement stage stays off during training
 and can be switched on afterwards without touching any parameter.
 
 Every layer runs batch-first: a training step or an evaluation passes one
-``[B, C, H, W]`` stack per layer, and the list entry points stack once on
-entry and unstack once on exit.
+``[B, C, H, W]`` stack per layer. Lists of images enter only at
+:func:`cls_forward_batch`, which stacks them once on entry and unstacks the
+logits once on exit.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .autodiff import Tape, lift_tree
 from .errors import ContractError, DimensionError, DivergenceError, NumericError
 from .params import BatchNormState, kaiming, learnable_arrays
 from .psa import PsaConfig, normalize_maps
-from .pst_block import PstConfig, PstParams, pst_forward, pst_forward_batch
+from .pst_block import PstConfig, PstParams, pst_forward
 
 BACKBONE_CHANNELS = (16, 32, 64)
 IMAGE_SHAPE = (3, 32, 32)
@@ -63,22 +64,15 @@ class BackboneParams:
         )
 
 
-def _stack_images(images):
-    """``(stack, listed)``: a list of images stacked along a new batch axis,
-    or an array or Var passed through."""
-    listed = isinstance(images, (list, tuple))
-    return (ad.stack(images) if listed else images), listed
-
-
-def backbone_forward_batch(images, p: BackboneParams, *, bn_mode: str = "infer",
-                           stat_sink: Optional[list] = None):
+def backbone_forward(x, p: BackboneParams, *, bn_mode: str = "infer",
+                     stat_sink: Optional[list] = None) -> PyramidFeatures:
     """Three stride-2 stages of pool, pointwise conv, normalization, SiLU.
 
-    ``images`` is a [..., 3, 32, 32] stack, giving one ``PyramidFeatures`` of
-    stacked levels, or a list of images, giving one ``PyramidFeatures`` per
-    image. The normalization sites see joint statistics over the batch.
+    ``x`` is a [..., 3, 32, 32] stack of images, giving one
+    ``PyramidFeatures`` of stacked levels; a bare [3, 32, 32] image is the
+    no-batch case. The normalization sites see joint statistics over the
+    batch.
     """
-    x, listed = _stack_images(images)
     if ad._val(x).shape[-3:] != IMAGE_SHAPE:
         raise DimensionError(f"expected {IMAGE_SHAPE} images, got {ad._val(x).shape}")
     levels = []
@@ -86,15 +80,7 @@ def backbone_forward_batch(images, p: BackboneParams, *, bn_mode: str = "infer",
         x = ad.conv1x1(ad.downsample_avg2x(x), conv)
         x = ad.silu(normalize_maps(x, norm, bn_mode, stat_sink))
         levels.append(x)
-    if not listed:
-        return PyramidFeatures(*levels)
-    return [PyramidFeatures(*sample) for sample in zip(*(ad.unstack(m) for m in levels))]
-
-
-def backbone_forward(image, p: BackboneParams, *, bn_mode: str = "infer",
-                     stat_sink: Optional[list] = None) -> PyramidFeatures:
-    """:func:`backbone_forward_batch` on one bare [3, 32, 32] image."""
-    return backbone_forward_batch(image, p, bn_mode=bn_mode, stat_sink=stat_sink)
+    return PyramidFeatures(*levels)
 
 
 # --- detection neck -------------------------------------------------------------
@@ -202,10 +188,10 @@ def cls_forward_batch(images, p: ClsNetParams, cfg: ClsConfig, *,
     tape too). Training-mode normalization statistics span the batch, and
     in infer mode each image's logits are the bytes it gets alone.
     """
-    x, listed = _stack_images(images)
-    feats = backbone_forward_batch(x, p.backbone, bn_mode=bn_mode, stat_sink=stat_sink)
-    fused = pst_forward_batch(feats.p4, feats.p5, p.pst, cfg.pst,
-                              bn_mode=bn_mode, stat_sink=stat_sink)
+    listed = isinstance(images, (list, tuple))
+    feats = backbone_forward(ad.stack(images) if listed else images, p.backbone,
+                             bn_mode=bn_mode, stat_sink=stat_sink)
+    fused = pst_forward(feats.p4, feats.p5, p.pst, cfg.pst, bn_mode=bn_mode, stat_sink=stat_sink)
     logits = ad.linear(ad.mean_spatial(fused), p.cls_weight, p.cls_bias)
     return ad.unstack(logits) if listed else logits
 

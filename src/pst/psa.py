@@ -22,10 +22,9 @@ attention has (tile, head) work units large enough to share runs inside one
 BLAS-thread scope (:func:`block_scope`), where the core shares them with a
 second thread; see :mod:`pst.threads`.
 
-One batch-first path runs the block: :func:`psa_forward_batch` takes one
-``[B, d, H, W]`` stack per input (or a list of maps, stacked on entry and
-unstacked on exit), and :func:`psa_forward` is the same body on a bare
-``[d, H, W]`` map. Projections, attention, the positional term and both
+One batch-first function runs the block: :func:`psa_forward` takes one
+``[..., d, H, W]`` stack per input, and a bare ``[d, H, W]`` map is the
+no-batch case. Projections, attention, the positional term and both
 normalizations run once over the stack; only the top-k selection and the
 fine stage, which are inference only, run per sample.
 
@@ -333,28 +332,19 @@ def _check_pair(x_map, u_map, token_dim: int):
     ops.require_finite(_val(x_map), _val(u_map))
 
 
-def stack_pairs(x_maps, u_maps):
-    """Stack a list of fine maps and a list of coarse maps into one array
-    each, on the tape when an entry is recorded. Returns ``(x, u, listed)``;
-    arrays and Vars pass through unchanged with ``listed`` False."""
-    if not isinstance(x_maps, (list, tuple)):
-        return x_maps, u_maps, False
-    if len(x_maps) != len(u_maps) or not x_maps:
-        raise DimensionError(f"batch of {len(x_maps)} fine maps with {len(u_maps)} coarse maps")
-    shapes = {(_val(x).shape, _val(u).shape) for x, u in zip(x_maps, u_maps)}
-    if len(shapes) != 1:
-        raise DimensionError("all samples in a batch must share one spatial shape")
-    return ad.stack(x_maps), ad.stack(u_maps), True
-
-
-def _samples(lead: tuple, diagnostics: Optional[list]) -> list:
+def _samples(lead: tuple, diagnostics: Optional[dict | list]) -> list:
     """One ``diagnostics`` entry per sample of a stack with leading axes
-    ``lead`` (one sample when there are none)."""
+    ``lead``: a bare map (no leading axes) takes one dict, a stack a list
+    with one dict or None per sample."""
     count = int(np.prod(lead))
     if diagnostics is None:
         return [None] * count
-    if len(diagnostics) != count:
-        raise DimensionError(f"{len(diagnostics)} diagnostics entries for {count} samples")
+    if not lead and isinstance(diagnostics, dict):
+        return [diagnostics]
+    if not lead or isinstance(diagnostics, dict) or len(diagnostics) != count:
+        raise DimensionError(
+            f"diagnostics must be one dict for a bare map or a list of one entry per "
+            f"sample; got a {type(diagnostics).__name__} for leading axes {lead}")
     return list(diagnostics)
 
 
@@ -437,43 +427,23 @@ def block_scope(n: int, heads: int, samples: int):
     return threads.single_blas_thread()
 
 
-def psa_forward(x_map, u_map, p: PsaParams, cfg: PsaConfig, *,
+def psa_forward(x, u, p: PsaParams, cfg: PsaConfig, *,
                 bn_mode: str = "infer", stat_sink: Optional[list] = None,
-                diagnostics: Optional[dict] = None):
-    """:func:`psa_forward_batch` on one bare [d, H, W] map and one
-    ``diagnostics`` dict."""
-    return psa_forward_batch(x_map, u_map, p, cfg, bn_mode=bn_mode, stat_sink=stat_sink,
-                             diagnostics=[diagnostics])
-
-
-def psa_forward_batch(x_maps, u_maps, p: PsaParams, cfg: PsaConfig, *,
-                      bn_mode: str = "infer", stat_sink: Optional[list] = None,
-                      diagnostics: Optional[list] = None):
+                diagnostics: Optional[dict | list] = None):
     """Run one attention block over fine maps and their 2x coarser partners.
 
-    ``x_maps`` is a [..., d, H, W] stack and ``u_maps`` the matching
-    [..., d, H/2, W/2] stack, which returns a [..., d, H, W] stack; or both
-    are lists of single maps sharing one shape, which returns a list. The
-    normalization sites gather statistics across every sample.
-    ``diagnostics``, when given, holds one dict or None per sample, which
-    receives its attention weights, key scores, and selection. A non-finite
+    ``x`` is a [..., d, H, W] stack and ``u`` the matching [..., d, H/2, W/2]
+    stack; a bare [d, H, W] map is the no-batch case. Returns the
+    [..., d, H, W] stack. The normalization sites gather statistics across
+    every sample. ``diagnostics``, when given, is one dict for a bare map or
+    a list with one dict or None per sample of a stack; each dict receives
+    its sample's attention weights, key scores, and selection. A non-finite
     value in any map raises :class:`NumericError`.
+
+    Each map is dropped as soon as its tokens exist, so a map its caller
+    passed as a temporary (the normalized maps of
+    :func:`pst.pst_block.pst_forward`, say) is freed there.
     """
-    *pair, listed = stack_pairs(x_maps, u_maps)
-    maps = psa_forward_pair(pair, p, cfg, bn_mode, stat_sink, diagnostics)
-    return ad.unstack(maps) if listed else maps
-
-
-def psa_forward_pair(pair: list, p: PsaParams, cfg: PsaConfig, bn_mode: str,
-                     stat_sink: Optional[list], diagnostics: Optional[list]):
-    """:func:`psa_forward_batch` on a ``[x, u]`` pair of stacks.
-
-    The list is emptied, so that a map its caller does not hold (the
-    normalized maps of :func:`pst.pst_block.pst_forward_batch`, say) is freed
-    as soon as its tokens exist.
-    """
-    x, u = pair
-    pair.clear()
     _check_pair(x, u, cfg.token_dim)
     lead, (h, w) = _val(x).shape[:-3], _val(x).shape[-2:]
     diagnostics = _samples(lead, diagnostics)

@@ -4,9 +4,8 @@ Both inputs are first projected to the shared token width and normalized.
 The attention core fuses them, a two-layer pointwise MLP with a residual
 connection refines the result, and a final projection over the raw fine
 input concatenated with the refined tokens doubles the channel count.
-:func:`pst_forward_batch` runs the block once over a ``[B, C, H, W]`` stack
-(a list of maps is stacked on entry and unstacked on exit);
-:func:`pst_forward` is the same body on a bare ``[C, H, W]`` map.
+:func:`pst_forward` runs the block once over a ``[..., C, H, W]`` stack; a
+bare ``[C, H, W]`` map is the no-batch case.
 
 ``param_count`` enumerates every learnable tensor of the block and checks
 the ledger against the closed form ``10*d^2 + (c_up + 3*c + 61)*d`` for
@@ -24,8 +23,7 @@ from . import autodiff as ad
 from . import tensor_ops as ops
 from .errors import AccountingError, ContractError, DimensionError
 from .params import BatchNormState, kaiming, named_arrays
-from .psa import (PsaConfig, PsaParams, block_scope, normalize_maps, psa_forward_pair,
-                  stack_pairs)
+from .psa import PsaConfig, PsaParams, block_scope, normalize_maps, psa_forward
 
 _SIZE_FACTORS = {"N": 1, "S": 2, "M": 4}
 
@@ -96,28 +94,18 @@ class PstParams:
         )
 
 
-def pst_forward(x_raw, u_raw, p: PstParams, cfg: PstConfig, *,
+def pst_forward(x, u, p: PstParams, cfg: PstConfig, *,
                 bn_mode: str = "infer", stat_sink: Optional[list] = None,
-                diagnostics: Optional[dict] = None):
-    """:func:`pst_forward_batch` on one bare [C, H, W] map and one
-    ``diagnostics`` dict."""
-    return pst_forward_batch(x_raw, u_raw, p, cfg, bn_mode=bn_mode, stat_sink=stat_sink,
-                             diagnostics=[diagnostics])
-
-
-def pst_forward_batch(x_raws, u_raws, p: PstParams, cfg: PstConfig, *,
-                      bn_mode: str = "infer", stat_sink: Optional[list] = None,
-                      diagnostics: Optional[list] = None):
+                diagnostics: Optional[dict | list] = None):
     """Fuse raw fine maps with their raw 2x coarser partners.
 
-    ``x_raws`` is a [..., C, H, W] stack and ``u_raws`` the matching
-    [..., C_up, H/2, W/2] stack, which returns a [..., 2 * token_dim, H, W]
-    stack; or both are lists of single maps, which returns a list. Every
-    normalization site gathers statistics across the batch. ``diagnostics``
-    is passed to :func:`pst.psa.psa_forward_batch`. A non-finite input raises
+    ``x`` is a [..., C, H, W] stack and ``u`` the matching
+    [..., C_up, H/2, W/2] stack; a bare [C, H, W] map is the no-batch case.
+    Returns the [..., 2 * token_dim, H, W] stack. Every normalization site
+    gathers statistics across the batch. ``diagnostics`` is passed to
+    :func:`pst.psa.psa_forward`. A non-finite input raises
     :class:`NumericError`.
     """
-    x, u, listed = stack_pairs(x_raws, u_raws)
     if cfg.psa.stack_depth != 1:
         raise ContractError("the fusion block runs a single attention stage; "
                             "stacking is a standalone ablation")
@@ -133,23 +121,24 @@ def pst_forward_batch(x_raws, u_raws, p: PstParams, cfg: PstConfig, *,
     ops.require_finite(ad._val(x), ad._val(u))
 
     # Untaped, every normalization, the SiLU and the residual sum overwrite a
-    # buffer the block allocated, and each map is dropped after its last use.
+    # buffer the block allocated, and each map is dropped after its last use;
+    # the normalized maps are passed as temporaries, which psa_forward drops
+    # once their tokens exist.
     with block_scope(xs[-2] * xs[-1], cfg.psa.heads, int(np.prod(xs[:-3]))):
-        m = psa_forward_pair(
-            [normalize_maps(ad.conv1x1(x, p.in_conv_x), p.bn_x, bn_mode, stat_sink,
-                            in_place=True),
-             normalize_maps(ad.conv1x1(u, p.in_conv_u), p.bn_u, bn_mode, stat_sink,
-                            in_place=True)],
-            p.psa, cfg.psa, bn_mode, stat_sink, diagnostics)
+        m = psa_forward(
+            normalize_maps(ad.conv1x1(x, p.in_conv_x), p.bn_x, bn_mode, stat_sink,
+                           in_place=True),
+            normalize_maps(ad.conv1x1(u, p.in_conv_u), p.bn_u, bn_mode, stat_sink,
+                           in_place=True),
+            p.psa, cfg.psa, bn_mode=bn_mode, stat_sink=stat_sink, diagnostics=diagnostics)
         hidden = ad.silu(ad.conv1x1(m, p.mlp_expand), in_place=True)
         refined = ad.conv1x1(hidden, p.mlp_project)
         del hidden
         m = ad.add(m, refined, in_place=True)
         del refined
         m = ad.concat_channels(x, m)
-        m = normalize_maps(ad.conv1x1(m, p.end_conv), p.bn_end, bn_mode, stat_sink,
-                           in_place=True)
-    return ad.unstack(m) if listed else m
+        return normalize_maps(ad.conv1x1(m, p.end_conv), p.bn_end, bn_mode, stat_sink,
+                              in_place=True)
 
 
 # --- parameter accounting ------------------------------------------------------

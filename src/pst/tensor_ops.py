@@ -373,40 +373,22 @@ def pad3(x: np.ndarray, channels_last: bool = False) -> np.ndarray:
     return xp
 
 
-def batch_norm(
-    x: np.ndarray,
-    gamma: np.ndarray,
-    beta: np.ndarray,
-    running_mean: np.ndarray,
-    running_var: np.ndarray,
-    *,
-    mode: str = "infer",
-    channel_axis: int = 0,
-    eps: float = 1e-5,
-    momentum: float = 0.03,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-channel normalization followed by a learned affine.
+def _batch_norm(x, gamma, beta, running_mean, running_var, mode, channel_axis, eps, momentum,
+                keep_xhat: bool, in_place: bool):
+    """Per-channel normalization followed by a learned affine:
+    ``(y, new_running_mean, new_running_var, kept)``.
 
     Train mode normalizes with batch statistics taken over every non-channel
     axis (biased variance, see :func:`channel_stats`) and returns running
     statistics advanced by ``momentum``; infer mode normalizes with the
-    running statistics and returns them unchanged.
-    """
-    y, new_mean, new_var, _ = _batch_norm(x, gamma, beta, running_mean, running_var, mode,
-                                          channel_axis, eps, momentum, keep_xhat=False)
-    return y, new_mean, new_var
-
-
-def _batch_norm(x, gamma, beta, running_mean, running_var, mode, channel_axis, eps, momentum,
-                keep_xhat: bool, in_place: bool = False):
-    """:func:`batch_norm`, plus ``(xhat, inv)`` when ``keep_xhat``: the
-    standardized input ``(x - mean) * inv`` and the per-channel ``inv``,
-    which a backward rule needs. ``y = xhat * gamma + beta`` is then formed
-    in a buffer of its own instead of in x-hat's, by the same operations in
-    the same order, so ``y`` has the same bytes either way. With
-    ``in_place`` (and not ``keep_xhat``), ``y`` is formed in ``x``'s own
-    buffer when ``x - mean`` has ``x``'s dtype, again by the same
-    operations."""
+    running statistics and returns them unchanged. ``kept`` is ``(xhat,
+    inv)`` when ``keep_xhat``, None otherwise: the standardized input
+    ``(x - mean) * inv`` and the per-channel ``inv``, which a backward rule
+    needs; ``y = xhat * gamma + beta`` is then formed in a buffer of its own
+    instead of in x-hat's, by the same operations in the same order, so
+    ``y`` has the same bytes either way. With ``in_place`` (and not
+    ``keep_xhat``), ``y`` is formed in ``x``'s own buffer when ``x - mean``
+    has ``x``'s dtype, again by the same operations."""
     if mode not in ("train", "infer"):
         raise ValueError(f"batch_norm mode must be 'train' or 'infer', got {mode!r}")
     channel_axis %= x.ndim

@@ -14,6 +14,25 @@ from pst.params import learnable_arrays, map_arrays, named_arrays
 
 
 class TestBackbone:
+    def test_classifier_calls_each_layer_by_its_module_name(self, monkeypatch):
+        # Per-layer tracing replaces these names in ``pst.networks``; a call
+        # that goes round them would leave the layer's span empty.
+        cfg = nets.default_cls_config(token_dim=16)
+        p = nets.ClsNetParams.create(cfg, np.random.default_rng(15), np.float32)
+        images, _ = nets.synth_dataset(16, 2, 4)
+        calls = []
+
+        def counted(name, layer):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return layer(*args, **kwargs)
+            return wrapper
+
+        for name in ("backbone_forward", "pst_forward"):
+            monkeypatch.setattr(nets, name, counted(name, getattr(nets, name)))
+        nets.cls_forward_batch(images, p, cfg)
+        assert calls == ["backbone_forward", "pst_forward"]
+
     def test_pyramid_shapes(self):
         rng = np.random.default_rng(0)
         p = nets.BackboneParams.create(rng, np.float32)

@@ -572,8 +572,8 @@ class TestPsaBatch:
         cfg = psa.PsaConfig(token_dim=8, k=2, fine_enabled=True)
         p = make_params(cfg, seed=42)
         single = psa.psa_forward(x_map, u_map, p, cfg)
-        batched = psa.psa_forward_batch([x_map], [u_map], p, cfg)
-        assert len(batched) == 1
+        batched = psa.psa_forward(x_map[None], u_map[None], p, cfg)
+        assert batched.shape == (1, *single.shape)
         assert np.array_equal(single, batched[0])
 
     def test_infer_batch_matches_per_sample(self):
@@ -581,7 +581,8 @@ class TestPsaBatch:
         pairs = [make_pair(rng) for _ in range(3)]
         cfg = psa.PsaConfig(token_dim=8, heads=2)
         p = make_params(cfg, seed=44)
-        batched = psa.psa_forward_batch([x for x, _ in pairs], [u for _, u in pairs], p, cfg)
+        batched = psa.psa_forward(np.stack([x for x, _ in pairs]),
+                                  np.stack([u for _, u in pairs]), p, cfg)
         for (x_map, u_map), out in zip(pairs, batched):
             assert np.array_equal(psa.psa_forward(x_map, u_map, p, cfg), out)
 
@@ -591,46 +592,34 @@ class TestPsaBatch:
         cfg = psa.PsaConfig(token_dim=8)
         p = make_params(cfg, seed=46)
         sink = []
-        psa.psa_forward_batch([x for x, _ in pairs], [u for _, u in pairs], p, cfg,
-                              bn_mode="train", stat_sink=sink)
+        psa.psa_forward(np.stack([x for x, _ in pairs]), np.stack([u for _, u in pairs]),
+                        p, cfg, bn_mode="train", stat_sink=sink)
         assert len(sink) == 2
         assert {id(old_mean) for old_mean, _, _, _ in sink} == {
             id(p.bn_cpe.running_mean), id(p.bn_out.running_mean)}
-
-    def test_shape_mismatch_rejected(self):
-        rng = np.random.default_rng(47)
-        x1, u1 = make_pair(rng, side=8)
-        x2, u2 = make_pair(rng, side=4)
-        cfg = psa.PsaConfig(token_dim=8)
-        p = make_params(cfg, seed=48)
-        with pytest.raises(DimensionError, match="one spatial shape"):
-            psa.psa_forward_batch([x1, x2], [u1, u2], p, cfg)
-        with pytest.raises(DimensionError):
-            psa.psa_forward_batch([x1], [], p, cfg)
-
 
     def test_stacked_arrays_in_stacked_array_out(self):
         rng = np.random.default_rng(52)
         pairs = [make_pair(rng, dtype=np.float32) for _ in range(3)]
         cfg = psa.PsaConfig(token_dim=8, heads=2, k=2, fine_enabled=True)
         p = make_params(cfg, seed=53, dtype=np.float32)
-        stacked = psa.psa_forward_batch(np.stack([x for x, _ in pairs]),
-                                        np.stack([u for _, u in pairs]), p, cfg)
+        stacked = psa.psa_forward(np.stack([x for x, _ in pairs]),
+                                  np.stack([u for _, u in pairs]), p, cfg)
         assert stacked.shape == (3, 8, 8, 8)
         for (x_map, u_map), out in zip(pairs, stacked):
             assert np.array_equal(psa.psa_forward(x_map, u_map, p, cfg), out)
         with pytest.raises(DimensionError, match="different batches"):
-            psa.psa_forward_batch(np.stack([x for x, _ in pairs]),
-                                  np.stack([u for _, u in pairs[:2]]), p, cfg)
+            psa.psa_forward(np.stack([x for x, _ in pairs]),
+                            np.stack([u for _, u in pairs[:2]]), p, cfg)
 
     def test_batch_diagnostics_are_per_sample(self):
         rng = np.random.default_rng(50)
         pairs = [make_pair(rng) for _ in range(2)]
         cfg = psa.PsaConfig(token_dim=8, k=2, fine_enabled=True)
         p = make_params(cfg, seed=51)
-        xs, us = [x for x, _ in pairs], [u for _, u in pairs]
+        xs, us = np.stack([x for x, _ in pairs]), np.stack([u for _, u in pairs])
         diags = [None, {}]
-        psa.psa_forward_batch(xs, us, p, cfg, diagnostics=diags)
+        psa.psa_forward(xs, us, p, cfg, diagnostics=diags)
         single = {}
         psa.psa_forward(*pairs[1], p, cfg, diagnostics=single)
         assert diags[0] is None
@@ -638,8 +627,10 @@ class TestPsaBatch:
             assert np.array_equal(diags[1][key], single[key])
         assert np.array_equal(diags[1]["selection"].fine_indices,
                               single["selection"].fine_indices)
-        with pytest.raises(DimensionError, match="diagnostics"):
-            psa.psa_forward_batch(xs, us, p, cfg, diagnostics=[{}])
+        for x, u, wrong in ((xs, us, [{}]), (xs, us, {}), (*pairs[1], [{}])):
+            with pytest.raises(DimensionError, match="diagnostics"):
+                psa.psa_forward(x, u, p, cfg, diagnostics=wrong)
+
 
 class TestPsaStack:
     def test_depth_one_is_plain_forward(self):
@@ -717,8 +708,8 @@ class TestInteractionTracking:
         with psa.track_interactions() as single:
             psa.psa_forward(*pairs[0], p, cfg)
         with psa.track_interactions() as stacked:
-            psa.psa_forward_batch(np.stack([x for x, _ in pairs]),
-                                  np.stack([u for _, u in pairs]), p, cfg)
+            psa.psa_forward(np.stack([x for x, _ in pairs]),
+                            np.stack([u for _, u in pairs]), p, cfg)
         assert single.total == 64 * 16 + (64 * 8 if fine_enabled else 0)
         assert stacked.total == 3 * single.total
 

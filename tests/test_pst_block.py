@@ -84,7 +84,7 @@ class TestNonFiniteInputs:
         with pytest.raises(NumericError):
             blk.pst_forward(x_bad, u, p, cfg)
         with pytest.raises(NumericError):
-            blk.pst_forward_batch([x, x_bad], [u, u], p, cfg)
+            blk.pst_forward(np.stack([x, x_bad]), np.stack([u, u]), p, cfg)
         xs = rng.standard_normal((8, 8, 8)).astype(np.float32)
         us = rng.standard_normal((8, 4, 4)).astype(np.float32)
         us_bad = us.copy()
@@ -92,7 +92,7 @@ class TestNonFiniteInputs:
         with pytest.raises(NumericError):
             psa.psa_forward(xs, us_bad, p.psa, cfg.psa)
         with pytest.raises(NumericError):
-            psa.psa_forward_batch([xs, xs], [us, us_bad], p.psa, cfg.psa)
+            psa.psa_forward(np.stack([xs, xs]), np.stack([us, us_bad]), p.psa, cfg.psa)
 
 
 class TestComposition:
@@ -137,13 +137,17 @@ class TestTranslationEquivariance:
         assert np.allclose(out2[:, 2:, 2:], out1[:, :-2, :-2], atol=1e-10)
 
 
+def stacked(pairs):
+    return np.stack([x for x, _ in pairs]), np.stack([u for _, u in pairs])
+
+
 class TestBatching:
     def test_single_element_batch_is_exact(self):
         rng = np.random.default_rng(8)
         cfg = small_cfg()
         p = blk.PstParams.create(cfg, rng, np.float64)
         x, u = make_inputs(rng, cfg)
-        assert np.array_equal(blk.pst_forward_batch([x], [u], p, cfg)[0],
+        assert np.array_equal(blk.pst_forward(x[None], u[None], p, cfg)[0],
                               blk.pst_forward(x, u, p, cfg))
 
     def test_infer_batch_matches_per_sample(self):
@@ -151,7 +155,7 @@ class TestBatching:
         cfg = small_cfg()
         p = blk.PstParams.create(cfg, rng, np.float64)
         pairs = [make_inputs(rng, cfg) for _ in range(3)]
-        outs = blk.pst_forward_batch([x for x, _ in pairs], [u for _, u in pairs], p, cfg)
+        outs = blk.pst_forward(*stacked(pairs), p, cfg)
         for (x, u), out in zip(pairs, outs):
             assert np.array_equal(out, blk.pst_forward(x, u, p, cfg))
 
@@ -161,14 +165,12 @@ class TestBatching:
         p = blk.PstParams.create(cfg, rng, np.float64)
         pairs = [make_inputs(rng, cfg) for _ in range(2)]
         sink = []
-        blk.pst_forward_batch([x for x, _ in pairs], [u for _, u in pairs], p, cfg,
-                              bn_mode="train", stat_sink=sink)
+        blk.pst_forward(*stacked(pairs), p, cfg, bn_mode="train", stat_sink=sink)
         assert len(sink) == 5
         sites = {id(old_mean) for old_mean, _, _, _ in sink}
         assert sites == {id(p.bn_x.running_mean), id(p.bn_u.running_mean),
                          id(p.psa.bn_cpe.running_mean), id(p.psa.bn_out.running_mean),
                          id(p.bn_end.running_mean)}
-
 
     def test_batch_diagnostics_reach_the_attention_block(self):
         rng = np.random.default_rng(11)
@@ -176,12 +178,33 @@ class TestBatching:
         p = blk.PstParams.create(cfg, rng, np.float64)
         pairs = [make_inputs(rng, cfg) for _ in range(2)]
         diags = [{}, {}]
-        blk.pst_forward_batch([x for x, _ in pairs], [u for _, u in pairs], p, cfg,
-                              diagnostics=diags)
+        blk.pst_forward(*stacked(pairs), p, cfg, diagnostics=diags)
         for (x, u), diag in zip(pairs, diags):
             single = {}
             blk.pst_forward(x, u, p, cfg, diagnostics=single)
             assert np.array_equal(diag["key_scores"], single["key_scores"])
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_block_calls_the_attention_body_by_its_module_name(self, monkeypatch, batched):
+        # Per-layer tracing replaces ``pst_block.psa_forward``; a call that
+        # goes round that name would leave the attention layer's span empty.
+        rng = np.random.default_rng(14)
+        cfg = small_cfg()
+        p = blk.PstParams.create(cfg, rng, np.float64)
+        x, u = make_inputs(rng, cfg)
+        if batched:
+            x, u = np.stack([x, x]), np.stack([u, u])
+        calls = []
+        body = blk.psa_forward
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return body(*args, **kwargs)
+
+        monkeypatch.setattr(blk, "psa_forward", counted)
+        blk.pst_forward(x, u, p, cfg)
+        assert len(calls) == 1
+
 
 def block_scale_case(n, dtype=np.float32):
     """The block of the block-scale benchmark: 32 fine and 64 coarse raw
@@ -216,8 +239,8 @@ class TestMemory:
         assert peak <= self.PEAK_4096
 
     def test_normalized_fine_map_is_freed_once_its_tokens_exist(self, monkeypatch):
-        # The block hands its normalized maps over in a list the attention
-        # body empties, which frees them on any interpreter version.
+        # The block passes its normalized maps to the attention body as
+        # temporaries, which the body drops once their tokens exist.
         rng = np.random.default_rng(13)
         cfg = small_cfg()
         p = blk.PstParams.create(cfg, rng, np.float64)
@@ -248,11 +271,10 @@ class TestMemory:
         cfg = small_cfg(k=3, fine_enabled=True, fusion_mode=fusion_mode)
         p = blk.PstParams.create(cfg, rng, param_dtype)
         pairs = [make_inputs(rng, cfg, dtype=np.float32) for _ in range(2)]
-        inputs = [a for pair in pairs for a in pair]
+        inputs = list(stacked(pairs))
         before = [a.copy() for a in inputs] + [a.copy() for a in named_arrays(p).values()]
         diags = [{}, {}] if diagnose else None
-        outs = blk.pst_forward_batch([x for x, _ in pairs], [u for _, u in pairs], p, cfg,
-                                     diagnostics=diags)
+        outs = blk.pst_forward(*inputs, p, cfg, diagnostics=diags)
         after = inputs + list(named_arrays(p).values())
         assert all(a.tobytes() == b.tobytes() for a, b in zip(after, before))
         for (x, u), out, diag in zip(pairs, outs, diags or [None, None]):

@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 from numpy.lib.stride_tricks import sliding_window_view
 
 import oracles
+from pst import autodiff as ad
 from pst import tensor_ops as ops
 from pst.errors import (
     DimensionError,
@@ -330,19 +331,19 @@ class TestBatchNorm:
         x = np.random.default_rng(7).standard_normal((3, 4, 4))
         ones = np.ones(3)
         zeros = np.zeros(3)
-        y, _, _ = ops.batch_norm(x, ones, zeros, zeros, ones, mode="infer")
+        y, _, _ = ad.batch_norm(x, ones, zeros, zeros, ones, mode="infer")
         assert np.allclose(y, x, atol=1e-4)
 
     def test_train_mode_standardizes_before_affine(self):
         rng = np.random.default_rng(8)
         x = 3.0 + 2.0 * rng.standard_normal((5, 9, 9))
-        y, _, _ = ops.batch_norm(x, np.ones(5), np.zeros(5),
+        y, _, _ = ad.batch_norm(x, np.ones(5), np.zeros(5),
                                  np.zeros(5), np.ones(5), mode="train")
         assert np.all(np.abs(y.mean(axis=(1, 2))) < 1e-4)
         assert np.all(np.abs(y.var(axis=(1, 2)) - 1.0) < 1e-3)
 
     def test_worked_infer_example(self):
-        y, _, _ = ops.batch_norm(
+        y, _, _ = ad.batch_norm(
             np.array([[2.0]]), np.array([3.0]), np.array([1.0]),
             np.array([1.0]), np.array([4.0]), mode="infer", channel_axis=0)
         expected = 3.0 * (2.0 - 1.0) / np.sqrt(4.0 + 1e-5) + 1.0
@@ -354,7 +355,7 @@ class TestBatchNorm:
         x = rng.standard_normal((2, 6, 6))
         mean0 = np.array([0.3, -0.2])
         var0 = np.array([1.5, 0.7])
-        _, mean1, var1 = ops.batch_norm(x, np.ones(2), np.zeros(2),
+        _, mean1, var1 = ad.batch_norm(x, np.ones(2), np.zeros(2),
                                         mean0, var0, mode="train")
         assert np.allclose(mean1, 0.97 * mean0 + 0.03 * x.mean(axis=(1, 2)))
         assert np.allclose(var1, 0.97 * var0 + 0.03 * x.var(axis=(1, 2)))
@@ -365,36 +366,36 @@ class TestBatchNorm:
         x = np.random.default_rng(10).standard_normal((4, 2))
         mean0 = np.zeros(2)
         var0 = np.ones(2)
-        _, mean1, var1 = ops.batch_norm(x, np.ones(2), np.zeros(2),
+        _, mean1, var1 = ad.batch_norm(x, np.ones(2), np.zeros(2),
                                         mean0, var0, mode="infer", channel_axis=1)
         assert np.array_equal(mean1, mean0)
         assert np.array_equal(var1, var0)
 
     def test_token_axis(self):
         x = np.random.default_rng(11).standard_normal((10, 3))
-        y, _, _ = ops.batch_norm(x, np.ones(3), np.zeros(3), np.zeros(3), np.ones(3),
+        y, _, _ = ad.batch_norm(x, np.ones(3), np.zeros(3), np.zeros(3), np.ones(3),
                                  mode="train", channel_axis=1)
         assert np.all(np.abs(y.mean(axis=0)) < 1e-4)
 
     def test_negative_running_variance(self):
         with pytest.raises(StateCorruptionError):
-            ops.batch_norm(np.zeros((2, 2)), np.ones(2), np.zeros(2),
+            ad.batch_norm(np.zeros((2, 2)), np.ones(2), np.zeros(2),
                            np.zeros(2), np.array([1.0, -0.5]), mode="infer", channel_axis=0)
 
     @pytest.mark.parametrize("mode", ["infer", "train"])
     def test_nan_running_variance(self, mode):
         with pytest.raises(StateCorruptionError):
-            ops.batch_norm(np.zeros((2, 2)), np.ones(2), np.zeros(2),
+            ad.batch_norm(np.zeros((2, 2)), np.ones(2), np.zeros(2),
                            np.zeros(2), np.array([1.0, np.nan]), mode=mode, channel_axis=0)
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):
-            ops.batch_norm(np.zeros((2, 2)), np.ones(2), np.zeros(2),
+            ad.batch_norm(np.zeros((2, 2)), np.ones(2), np.zeros(2),
                            np.zeros(2), np.ones(2), mode="test", channel_axis=0)
 
     def test_affine_shape_check(self):
         with pytest.raises(DimensionError, match="gamma"):
-            ops.batch_norm(np.zeros((3, 2, 2)), np.ones(2), np.zeros(3),
+            ad.batch_norm(np.zeros((3, 2, 2)), np.ones(2), np.zeros(3),
                            np.zeros(3), np.ones(3))
 
 

@@ -265,7 +265,7 @@ def test_calls_with_nothing_to_share_enter_no_scope(blas_threads, heads):
     with mock.patch.object(threads, "single_blas_thread", side_effect=AssertionError), \
             mock.patch.object(threads, "pool", side_effect=AssertionError):
         pst_block.pst_forward(x, u, params, cfg)
-        pst_block.pst_forward_batch(x[None], u[None], params, cfg)
+        pst_block.pst_forward(x[None], u[None], params, cfg)
     assert CONTROL.get() == 2
 
 
