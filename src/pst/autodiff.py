@@ -305,22 +305,12 @@ def depthwise_conv7x7(x, kernel):
     tape = _tape_of(x, kernel)
     if tape is None:
         return out
-    h, w = xv.shape[-2:]
 
     def bwd(up):
         gx = None
         gk = None
         if isinstance(kernel, Var):
-            # In the storage order the forward taps ran in.
-            last = ops.taps_channels_last(xv)
-            xp = ops.pad3(xv, last)
-            up_l = ops.map_buffer(up.shape, up.dtype, last)
-            up_l[...] = up
-            gk = np.zeros_like(kv)
-            axes = _non_channel_axes(xv)
-            for u in range(7):
-                for v in range(7):
-                    gk[:, u, v] = (up_l * xp[..., u : u + h, v : v + w]).sum(axis=axes)
+            gk = ops.depthwise_kernel_grad(xv, up).astype(kv.dtype, copy=False)
         if isinstance(x, Var):
             # The adjoint of a 7x7 correlation is the correlation with the
             # kernel turned by 180 degrees.
@@ -351,6 +341,7 @@ def batch_norm(x, gamma, beta, running_mean, running_var, *,
 
     xhat, inv = kept
     pshape = inv.shape
+    sample = ops._sample_shape(xv, channel_axis)
     reduce_axes = tuple(i for i in range(xv.ndim) if i != channel_axis)
 
     def bwd(up):
@@ -358,16 +349,22 @@ def batch_norm(x, gamma, beta, running_mean, running_var, *,
         g_gamma = (up * xhat).sum(axis=reduce_axes)
         gx = None
         if isinstance(x, Var):
-            scale = inv * gv.reshape(pshape)
+            scale = inv.reshape(-1) * gv
             if mode == "train":
+                # Per-channel terms spread over a sample as the forward's
+                # are (see tensor_ops._batch_norm): the same bytes in longer
+                # loops, each step into gx, whose layout is xhat's.
+                def spread(p):
+                    return p.reshape(pshape) if sample is None else ops._spread(p, pshape, sample)
+
                 # up - mean(up) - xhat * mean(up * xhat), per channel.
                 rows = xv.size // xv.shape[channel_axis]
-                gx = xhat * (g_gamma / rows).reshape(pshape)
+                gx = xhat * spread(g_gamma / rows)
                 np.subtract(up, gx, out=gx)
-                gx -= (g_beta / rows).reshape(pshape)
-                gx *= scale
+                gx -= spread(g_beta / rows)
+                gx *= spread(scale)
             else:
-                gx = up * scale
+                gx = up * scale.reshape(pshape)
         return (gx, g_gamma if isinstance(gamma, Var) else None,
                 g_beta if isinstance(beta, Var) else None)
 

@@ -155,7 +155,11 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
     over all heads; every tile sees every key, so its softmax is exact. One
     tile of one head, over every sample of the stack, is a work unit (see
     :func:`attention_units`). A unit's logits are exponentiated in place
-    after their row max is taken out; its rows of ``out`` are normalized
+    after their row max is taken out; a skinny tile, with at least
+    ``ATTENTION_COLUMN_MAX_ROWS`` rows over all samples per key (a stack of
+    small maps, or the fine stage's few keys), takes that max as a running
+    maximum over its key columns (:func:`_column_max`), with the same bytes.
+    Its rows of ``out`` are normalized
     after the value product, and its column sums, each row weighted by its
     inverse row sum, are the unit's key-score partial. A tile's partials are
     summed over heads in float32 and added to a float64 accumulator, tile
@@ -166,9 +170,10 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
     the units of a call whose tiles hold at least
     ``ATTENTION_SHARED_UNIT_LOGITS`` logits are handed out in order to the
     calling thread and to one pool worker; elsewhere the calling thread runs
-    them all. Each unit writes only
-    its own rows and the partials are added in the same order either way, so
-    the bytes of ``out``, the scores and the weights do not depend on it.
+    them all in order, without the lock and the pending tiles that sharing
+    needs. Each unit writes only its own rows and the partials are added in
+    the same order either way, so the bytes of ``out``, the scores and the
+    weights do not depend on it.
     """
     if (q.ndim < 2 or k.ndim != q.ndim or v.shape != k.shape or k.shape[-1] != q.shape[-1]
             or k.shape[:-2] != q.shape[:-2] or not k.shape[-2]):
@@ -189,7 +194,7 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
         split_heads(k, heads).swapaxes(-1, -2), split_heads(v, heads),
         split_heads(out, heads), weights, colsum, _tile_rows(n, m, heads))
     if threads.core_workers() < 2 or not attention_shares_units(n, m, heads, math.prod(lead)):
-        units.run()
+        units.run_inline()
     else:
         future = threads.pool().submit(units.run)
         try:
@@ -204,9 +209,31 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
     return _checked(out), colsum / (heads * n)
 
 
+# Fewest rows per key a tile of :func:`attention` holds, over all samples,
+# for its row max to be taken as a running maximum over the key columns, one
+# long strided loop per key, instead of numpy's max over each row's few keys.
+# A fixed size, not a knob.
+ATTENTION_COLUMN_MAX_ROWS = 8
+
+
+def _column_max(tile: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Each row's largest entry of a [..., R, M >= 2] tile, into ``out``
+    [..., R]: a running ``np.maximum`` over the M columns, where
+    ``tile.max(axis=-1)`` loops over M per row. Max is exact, so the two
+    differ at most in the sign of a zero maximum (or a NaN's bytes); and
+    ``x - (+0)``, ``x - (-0)`` differ only in the sign of a zero, which
+    ``exp`` maps to 1, so the weights of :func:`attention` keep their bytes.
+    """
+    np.maximum(tile[..., 0], tile[..., 1], out=out)
+    for j in range(2, tile.shape[-1]):
+        np.maximum(out, tile[..., j], out=out)
+    return out
+
+
 class _AttentionUnits:
-    """The (tile, head) units of one :func:`attention` call, handed out in
-    tile-major order to every thread that calls :meth:`run`."""
+    """The (tile, head) units of one :func:`attention` call: run in order by
+    :meth:`run_inline`, or handed out in tile-major order to every thread
+    that calls :meth:`run`."""
 
     def __init__(self, qh, kt, vh, out_h, weights, colsum, rows: int):
         *lead, self.heads, self.n, _ = qh.shape
@@ -225,10 +252,54 @@ class _AttentionUnits:
         with self.lock:
             self.next = self.count
 
+    def _buffers(self):
+        """One thread's tile and, when the tile takes the column max, its
+        row-max vector."""
+        tile = np.empty(self.tile_shape, dtype=self.out_h.dtype)
+        m = self.tile_shape[-1]
+        if m < 2 or tile.size < ATTENTION_COLUMN_MAX_ROWS * m * m:
+            return tile, None
+        return tile, np.empty(self.tile_shape[:-1], dtype=tile.dtype)
+
+    def _unit(self, t: int, h: int, buffers, partial) -> None:
+        """Tile ``t`` of head ``h``: its rows of ``out`` and of the weights,
+        and its key-score partial into ``partial`` [..., 1, M]."""
+        rows, weights = self.rows, self.weights
+        lo = t * rows
+        hi = min(self.n, lo + rows)
+        tile = buffers[0][..., : hi - lo, :]
+        np.matmul(self.qh[..., h, lo:hi, :], self.kt[..., h, :, :], out=tile)
+        if buffers[1] is None:
+            tile -= tile.max(axis=-1, keepdims=True)
+        else:
+            tile -= _column_max(tile, buffers[1][..., : hi - lo])[..., None]
+        np.exp(tile, out=tile)
+        inv = 1.0 / tile.sum(axis=-1, keepdims=True)
+        np.matmul(inv.swapaxes(-1, -2), tile, out=partial)
+        rows_out = self.out_h[..., h, lo:hi, :]
+        np.matmul(tile, self.vh[..., h, :, :], out=rows_out)
+        rows_out *= inv
+        if weights is not None:
+            np.multiply(tile, inv, out=weights[..., h, lo:hi, :])
+
+    def run_inline(self) -> None:
+        """Every unit on the calling thread, in the order :meth:`run` adds
+        their partials, without its lock or its pending tiles. One head's
+        partial is added as it is: the sum over its one-element axes would
+        add it to +0, which changes no partial of non-negative weights."""
+        buffers = self._buffers()
+        partials = np.empty(self.partials_shape, dtype=self.out_h.dtype)
+        for t in range(self.count // self.heads):
+            for h in range(self.heads):
+                self._unit(t, h, buffers, partials[..., h, :, :])
+            if self.heads == 1:
+                self.colsum += partials[..., 0, 0, :]
+            else:
+                self.colsum += partials.sum(axis=(-3, -2))
+
     def run(self) -> None:
-        qh, kt, vh, out_h, weights = self.qh, self.kt, self.vh, self.out_h, self.weights
-        lock, pending, heads, rows, n = self.lock, self.pending, self.heads, self.rows, self.n
-        buffer = None  # this thread's one-head tile
+        lock, pending, heads = self.lock, self.pending, self.heads
+        buffers = None  # this thread's one-head tile
         while True:
             with lock:
                 unit = self.next
@@ -237,23 +308,11 @@ class _AttentionUnits:
                 self.next = unit + 1
                 t, h = divmod(unit, heads)
                 if not h:
-                    pending[t] = [np.empty(self.partials_shape, dtype=out_h.dtype), heads]
+                    pending[t] = [np.empty(self.partials_shape, dtype=self.out_h.dtype), heads]
                 entry = pending[t]
-            if buffer is None:
-                buffer = np.empty(self.tile_shape, dtype=out_h.dtype)
-            lo = t * rows
-            hi = min(n, lo + rows)
-            tile = buffer[..., : hi - lo, :]
-            np.matmul(qh[..., h, lo:hi, :], kt[..., h, :, :], out=tile)
-            tile -= tile.max(axis=-1, keepdims=True)
-            np.exp(tile, out=tile)
-            inv = 1.0 / tile.sum(axis=-1, keepdims=True)
-            np.matmul(inv.swapaxes(-1, -2), tile, out=entry[0][..., h, :, :])
-            rows_out = out_h[..., h, lo:hi, :]
-            np.matmul(tile, vh[..., h, :, :], out=rows_out)
-            rows_out *= inv
-            if weights is not None:
-                np.multiply(tile, inv, out=weights[..., h, lo:hi, :])
+            if buffers is None:
+                buffers = self._buffers()
+            self._unit(t, h, buffers, entry[0][..., h, :, :])
             with lock:
                 entry[1] -= 1
                 # Tile order: flush every finished tile no earlier one waits on.
@@ -306,11 +365,7 @@ def depthwise_conv7x7(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     if x.size == 0:
         return np.zeros(x.shape, dtype=x.dtype)
     b, wc = x.size // (c * h * w), w * c
-    # Channel-last padded storage: xp[s, 3 + i, (3 + j) * C + ch] = x[s, ch, i, j],
-    # so tap (u, v) of every channel is one shifted [H, W * C] window.
-    xp = np.zeros((b, h + 6, (w + 6) * c), dtype=x.dtype)
-    interior = xp.reshape(b, h + 6, w + 6, c)[:, 3 : h + 3, 3 : w + 3]
-    interior[...] = x.reshape(b, c, h, w).transpose(0, 2, 3, 1)
+    xp = _pad_channels_last(x)
     windows = _tap_windows(xp, h, wc, c)
     taps = np.empty((7, 7, w, c), dtype=x.dtype)
     taps[...] = kernel.transpose(1, 2, 0)[:, :, None]  # taps[u, v, j, ch] = kernel[ch, u, v]
@@ -334,6 +389,19 @@ def depthwise_conv7x7(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return _checked(out.reshape(*lead, h, w, c).transpose(*range(nl), nl + 2, nl, nl + 1))
 
 
+def _pad_channels_last(x: np.ndarray) -> np.ndarray:
+    """Channel-last padded storage ``xp`` [b, H + 6, (W + 6) * C] of a
+    [..., C, H, W] stack: ``xp[s, 3 + i, (3 + j) * C + ch] = x[s, ch, i, j]``,
+    zero elsewhere, so tap (u, v) of every channel is one shifted [H, W * C]
+    window."""
+    *_, c, h, w = x.shape
+    b = x.size // (c * h * w)
+    xp = np.zeros((b, h + 6, (w + 6) * c), dtype=x.dtype)
+    interior = xp.reshape(b, h + 6, w + 6, c)[:, 3 : h + 3, 3 : w + 3]
+    interior[...] = x.reshape(b, c, h, w).transpose(0, 2, 3, 1)
+    return xp
+
+
 def _tap_windows(xp: np.ndarray, h: int, wc: int, c: int) -> np.ndarray:
     """Read-only view ``[7, 7, b, h, wc]`` of the C-contiguous padded storage
     ``xp`` [b, h + 6, wc + 6 * c]: ``windows[u, v, s, i, j] = xp[s, u + i, v * c + j]``.
@@ -348,29 +416,63 @@ def _tap_windows(xp: np.ndarray, h: int, wc: int, c: int) -> np.ndarray:
                       strides=(s_row, c * s_item, s_sample, s_row, s_item), writeable=False)
 
 
-def taps_channels_last(x: np.ndarray) -> bool:
-    """Whether the kernel gradient of the depthwise conv (one sum over the
-    map per tap, in ``autodiff.depthwise_conv7x7``) runs on channel-last
-    storage: a stack of small grids (C > 2W) does. The storage order fixes
-    the order of each sum, so it is part of the gradient's bytes."""
-    return x.shape[-3] > 2 * x.shape[-1]
+def depthwise_kernel_grad(x: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """Gradient of ``sum(up * depthwise_conv7x7(x, k))`` with respect to the
+    [C, 7, 7] kernel ``k``, in the dtype of ``x * up``: per tap, the sum of
+    ``up`` times the tap's window of zero-padded ``x`` over every axis but
+    the channel axis, with the bytes of numpy's sum of that product.
 
-
-def map_buffer(shape: tuple, dtype, channels_last: bool = False) -> np.ndarray:
-    """Zeros of the channel-first ``shape`` [..., C, H, W], optionally stored
-    channel-last (a strided view then)."""
-    if not channels_last:
-        return np.zeros(shape, dtype=dtype)
-    *lead, c, h, w = shape
-    return np.moveaxis(np.zeros((*lead, h, w, c), dtype=dtype), -1, -3)
-
-
-def pad3(x: np.ndarray, channels_last: bool = False) -> np.ndarray:
-    """Zero-pad the two spatial axes of a map by 3 on every side."""
+    On a stack of small grids (C > 2W) the product is stored channel last,
+    and numpy adds each (tap, channel)'s products one position after
+    another from +0. One ``np.einsum`` over a ``[b, H, W, 7, 7, C]`` view of
+    the forward's padded storage adds them in that order without forming
+    them: its innermost loop is the channel axis, the smallest stride of
+    every operand, so each step adds ``p + acc`` for one position. Channel
+    -first products are summed pairwise over each sample's positions, and
+    keep one sum per tap.
+    """
     *lead, c, h, w = x.shape
-    xp = map_buffer((*lead, c, h + 6, w + 6), x.dtype, channels_last)
+    if up.shape != x.shape:
+        raise DimensionError(f"depthwise gradient {up.shape} does not match input {x.shape}")
+    dtype = np.result_type(x, up)
+    x, up = x.astype(dtype, copy=False), up.astype(dtype, copy=False)
+    if c > 2 * w and x.size:
+        b = x.size // (c * h * w)
+        xp = _pad_channels_last(x)
+        s_sample, s_row, s_item = xp.strides
+        # taps[s, i, j, u, v, ch] = xp[s, u + i, (v + j) * c + ch]
+        taps = as_strided(xp, shape=(b, h, w, 7, 7, c), writeable=False,
+                          strides=(s_sample, s_row, c * s_item, s_row, c * s_item, s_item))
+        up_last = np.empty((b, h, w, c), dtype=dtype)
+        up_last[...] = up.reshape(b, c, h, w).transpose(0, 2, 3, 1)
+        return np.ascontiguousarray(np.einsum("sijuvc,sijc->uvc", taps, up_last).transpose(2, 0, 1))
+    xp = np.zeros((*lead, c, h + 6, w + 6), dtype=dtype)
     xp[..., 3 : h + 3, 3 : w + 3] = x
-    return xp
+    up = np.ascontiguousarray(up)
+    axes = tuple(i for i in range(x.ndim) if i != x.ndim - 3)
+    grad = np.empty((c, 7, 7), dtype=dtype)
+    for u in range(7):
+        for v in range(7):
+            grad[:, u, v] = (up * xp[..., u : u + h, v : v + w]).sum(axis=axes)
+    return grad
+
+
+def _sample_shape(x: np.ndarray, channel_axis: int) -> tuple | None:
+    """The shape of one sample of ``x`` when it is a C-contiguous stack of
+    two or more, else None: the channel axis and every axis after it, and
+    at least the last two (``[C, H, W]`` for maps, ``[N, d]`` for tokens)."""
+    lead = min(channel_axis, x.ndim - 2)
+    if lead < 1 or math.prod(x.shape[:lead]) < 2 or not x.flags.c_contiguous:
+        return None
+    return x.shape[lead:]
+
+
+def _spread(p: np.ndarray, pshape: tuple, sample: tuple) -> np.ndarray:
+    """The per-channel ``p``, of broadcast shape ``pshape``, written out
+    over one whole ``sample`` of the stack."""
+    out = np.empty(sample, dtype=p.dtype)
+    out[...] = p.reshape(pshape[len(pshape) - len(sample):])
+    return out
 
 
 def _batch_norm(x, gamma, beta, running_mean, running_var, mode, channel_axis, eps, momentum,
@@ -388,7 +490,14 @@ def _batch_norm(x, gamma, beta, running_mean, running_var, mode, channel_axis, e
     instead of in x-hat's, by the same operations in the same order, so
     ``y`` has the same bytes either way. With ``in_place`` (and not
     ``keep_xhat``), ``y`` is formed in ``x``'s own buffer when ``x - mean``
-    has ``x``'s dtype, again by the same operations."""
+    has ``x``'s dtype, again by the same operations.
+
+    On a C-contiguous stack of two or more samples, ``mean``, ``inv``,
+    ``gamma`` and ``beta`` enter the four elementwise steps as operands one
+    sample in size (see :func:`_sample_shape`), so each step runs one loop
+    per sample rather than one per channel row of 16 to 64 elements. Each
+    element meets the same values in the same steps, so the bytes are those
+    of the ``[C, 1, 1]`` broadcast, which single maps keep."""
     if mode not in ("train", "infer"):
         raise ValueError(f"batch_norm mode must be 'train' or 'infer', got {mode!r}")
     channel_axis %= x.ndim
@@ -400,8 +509,8 @@ def _batch_norm(x, gamma, beta, running_mean, running_var, mode, channel_axis, e
                 f"batch_norm {name} has shape {arr.shape}, expected ({channels},)")
     if not np.minimum.reduce(running_var, initial=np.inf) >= 0:
         raise StateCorruptionError("negative or NaN running variance")
-    pshape = [1] * x.ndim
-    pshape[channel_axis] = channels
+    pshape = (1,) * channel_axis + (channels,) + (1,) * (x.ndim - channel_axis - 1)
+    sample = _sample_shape(x, channel_axis)
     if mode == "train":
         mean, var = channel_stats(x, channel_axis)
         new_mean = (1.0 - momentum) * running_mean + momentum * mean
@@ -413,11 +522,13 @@ def _batch_norm(x, gamma, beta, running_mean, running_var, mode, channel_axis, e
         new_var = running_var
     inv = 1.0 / np.sqrt(var.reshape(pshape) + eps)
     in_place = in_place and not keep_xhat and np.result_type(x, mean) == x.dtype
-    xhat = np.subtract(x, mean.reshape(pshape), out=x if in_place else None)
-    xhat *= inv
-    g = gamma.reshape(pshape)
+    one = sample is None
+    xhat = np.subtract(x, mean.reshape(pshape) if one else _spread(mean, pshape, sample),
+                       out=x if in_place else None)
+    xhat *= inv if one else _spread(inv, pshape, sample)
+    g = gamma.reshape(pshape) if one else _spread(gamma, pshape, sample)
     y = xhat * g if keep_xhat else np.multiply(xhat, g, out=xhat)
-    y += beta.reshape(pshape)
+    y += beta.reshape(pshape) if one else _spread(beta, pshape, sample)
     return _checked(y), new_mean, new_var, ((xhat, inv) if keep_xhat else None)
 
 
@@ -428,13 +539,36 @@ def channel_stats(x: np.ndarray, channel_axis: int) -> tuple[np.ndarray, np.ndar
     layout of stacked token matrices, so a map and its tokens give the same
     bytes. The variance takes the steps of ``rows.var(axis=0)`` from the mean
     already at hand, and gives its bytes.
+
+    When the rows are C-contiguous and hold two or more channels, both sums
+    are ``np.einsum`` over the rows (``"nc->c"``, ``"nc,nc->c"``); on a
+    stack (:func:`_sample_shape`) the mean is taken out through a
+    ``[samples, sample size]`` view against the mean tiled over a sample.
+    Like numpy's reduce over the outer axis, einsum adds the rows one after
+    another from +0, and each rounded ``dev * dev``; it only skips the ufunc
+    machinery around each row. A single map's strided rows, which numpy sums
+    pairwise, and one channel's column keep the reduce.
     """
-    rows = np.moveaxis(x, channel_axis, -1).reshape(-1, x.shape[channel_axis])
-    mean = rows.mean(axis=0)
-    dev = rows - mean
-    np.multiply(dev, dev, out=dev)
-    var = dev.sum(axis=0)
-    return mean, np.true_divide(var, np.intp(rows.shape[0]), out=var, casting="unsafe")
+    channels = x.shape[channel_axis]
+    rows = np.moveaxis(x, channel_axis, -1).reshape(-1, channels)
+    n = np.intp(rows.shape[0])
+    if channels < 2 or not rows.flags.c_contiguous or not rows.size:
+        mean = rows.mean(axis=0)
+        dev = rows - mean
+        np.multiply(dev, dev, out=dev)
+        var = dev.sum(axis=0)
+    else:
+        mean = np.einsum("nc->c", rows)
+        np.true_divide(mean, n, out=mean, casting="unsafe")
+        sample = _sample_shape(x, channel_axis % x.ndim)
+        if sample is None:
+            dev = rows - mean
+        else:
+            size = math.prod(sample)
+            dev = rows.reshape(-1, size) - np.tile(mean, size // channels)
+            dev = dev.reshape(rows.shape)
+        var = np.einsum("nc,nc->c", dev, dev)
+    return mean, np.true_divide(var, n, out=var, casting="unsafe")
 
 
 def upsample_tokens2x(x: np.ndarray) -> np.ndarray:

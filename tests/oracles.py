@@ -257,6 +257,68 @@ def batch_norm_direct(x, gamma, beta, running_mean, running_var, up, *, mode, ch
     return y, new_mean, new_var, gx, g_gamma, g_beta
 
 
+def depthwise_kernel_grad_taps(x, up):
+    """Kernel gradient of a 7x7 depthwise correlation, one tap at a time:
+    ``g[:, u, v]`` is numpy's sum of ``up`` times the tap's window of a
+    zero-padded copy over every axis but the channel axis.
+
+    numpy's sum follows the product's memory layout. A stack of small grids
+    (more channels than twice the width) is stored channel last, so each
+    channel adds its products one position after another; otherwise it is
+    stored channel first, and numpy sums each sample's positions pairwise.
+    """
+    *lead, c, h, w = x.shape
+    dtype = np.result_type(x, up)
+    grad = np.zeros((c, 7, 7), dtype=dtype)
+    axes = tuple(i for i in range(x.ndim) if i != x.ndim - 3)
+    if c > 2 * w:
+        def stored(m):  # channel-last storage, viewed channel first
+            return np.moveaxis(np.ascontiguousarray(np.moveaxis(m, -3, -1), dtype=dtype), -1, -3)
+    else:
+        def stored(m):
+            return np.ascontiguousarray(m, dtype=dtype)
+    xp = np.zeros((*lead, c, h + 6, w + 6), dtype=dtype)
+    xp[..., 3 : h + 3, 3 : w + 3] = x
+    xp = stored(xp)
+    up = stored(up)
+    for u in range(7):
+        for v in range(7):
+            grad[:, u, v] = (up * xp[..., u : u + h, v : v + w]).sum(axis=axes)
+    return grad
+
+
+def attention_tile_steps(q, k, v, heads):
+    """The attention core's steps over a single tile of every query row,
+    with numpy's row max: logits of the scaled queries, minus each row's
+    ``max``, exponentiated; output rows scaled by the inverse row sums after
+    the value product; each head's key-score partial ``inv @ e``, summed
+    over heads in the input dtype and added to a float64 zero.
+
+    Returns ``(out, scores, weights[..., heads, N, M])``, each formed with the
+    operand layouts the core uses, so its bytes are the core's when the core
+    runs one tile.
+    """
+    *lead, n, dim = q.shape
+    m = k.shape[-2]
+    d_head = dim // heads
+    qs = q * q.dtype.type(1.0 / np.sqrt(d_head))
+    out = np.empty(q.shape, dtype=q.dtype)
+    weights = np.empty((*lead, heads, n, m), dtype=q.dtype)
+    partials = np.empty((*lead, heads, 1, m), dtype=q.dtype)
+    for h in range(heads):
+        cols = slice(h * d_head, (h + 1) * d_head)
+        logits = np.empty((*lead, n, m), dtype=q.dtype)
+        np.matmul(qs[..., cols], k[..., cols].swapaxes(-1, -2), out=logits)
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        inv = 1.0 / e.sum(axis=-1, keepdims=True)
+        np.matmul(inv.swapaxes(-1, -2), e, out=partials[..., h, :, :])
+        np.matmul(e, v[..., cols], out=out[..., cols])
+        out[..., cols] *= inv
+        weights[..., h, :, :] = e * inv
+    scores = np.zeros((*lead, m)) + partials.sum(axis=(-3, -2))
+    return out, scores / (heads * n), weights
+
+
 # --- composed references -----------------------------------------------------
 
 

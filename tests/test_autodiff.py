@@ -340,8 +340,16 @@ class TestKernelBytes:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("mode", ["train", "infer"])
-    @pytest.mark.parametrize("shape, channel_axis", [((3, 6, 5, 4), -3), ((3, 20, 6), -1)])
+    @pytest.mark.parametrize("shape, channel_axis", [
+        ((3, 6, 5, 4), -3), ((3, 20, 6), -1), ((6, 5, 4), -3), ((20, 6), -1),
+        ((2, 16, 4, 4), -3), ((64, 16, 4, 4), -3), ((2, 64, 32), -1), ((64, 64, 32), -1)])
     def test_batch_norm_with_and_without_tape(self, dtype, mode, shape, channel_axis):
+        """Single maps and token matrices broadcast their per-channel terms
+        as [C, 1, 1]; stacks of two or more spread them over one sample. Both
+        give the formulas' bytes for ``y``, the running statistics and the
+        gradients, with and without a tape, in place or not."""
+        stacked = len(shape) == (4 if channel_axis == -3 else 3)
+        assert (ops._sample_shape(np.empty(shape), len(shape) + channel_axis) is not None) == stacked
         rng = np.random.default_rng(42)
         c = shape[channel_axis]
         x = (rng.standard_normal(shape) * 3 + 1).astype(dtype)
@@ -353,16 +361,56 @@ class TestKernelBytes:
             x, gamma, beta, mean0, var0, up, **kw)
 
         plain = ad.batch_norm(x, gamma, beta, mean0, var0, **kw)
+        buffer = x.copy()
+        in_place = ad.batch_norm(buffer, gamma, beta, mean0, var0, in_place=True, **kw)
+        assert in_place[0] is buffer
         tape = ad.Tape()
         xv, gv, bv = (tape.leaf(a, requires_grad=True) for a in (x, gamma, beta))
         recorded = ad.batch_norm(xv, gv, bv, mean0, var0, **kw)
         grads = tape.backward(ad.sum_all(ad.mul(recorded[0], up)))
-        for got in (plain, (recorded[0].value, *recorded[1:])):
+        for got in (plain, in_place, (recorded[0].value, *recorded[1:])):
             for have, want in zip(got, (y, new_mean, new_var)):
                 assert have.dtype == want.dtype
                 assert have.tobytes() == want.tobytes()
         for leaf, want in ((xv, gx), (gv, g_gamma), (bv, g_beta)):
             assert grads[leaf.vid].tobytes() == want.tobytes()
+
+
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    def test_batch_norm_nan_row(self, mode):
+        """A NaN in one row of a stack gives NaN in the same places as the
+        broadcast formulas: its channel in train mode, its element in infer
+        mode. The bytes of the NaNs may differ and are not compared."""
+        ops.set_debug_checks(False)
+        rng = np.random.default_rng(44)
+        x = rng.standard_normal((8, 6, 4, 4)).astype(np.float32)
+        x[3, 2, 1, 1] = np.nan
+        gamma, beta, mean0 = (rng.standard_normal(6).astype(np.float32) for _ in range(3))
+        var0 = rng.uniform(0.5, 2.0, 6).astype(np.float32)
+        want = oracles.batch_norm_direct(x, gamma, beta, mean0, var0, x, mode=mode,
+                                         channel_axis=-3)[0]
+        got = ad.batch_norm(x, gamma, beta, mean0, var0, mode=mode, channel_axis=-3)[0]
+        nan = np.isnan(want)
+        assert nan.any() and not nan.all()
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+    @pytest.mark.parametrize("shape", [(32, 32, 4, 4), (2, 3, 9, 9)])
+    def test_depthwise_kernel_gradient_on_the_tape(self, shape):
+        """The recorded conv's kernel gradient is the per-tap sums', cast to
+        the kernel's dtype."""
+        rng = np.random.default_rng(45)
+        x = rng.standard_normal(shape).astype(np.float32)
+        up = rng.standard_normal(shape).astype(np.float32)
+        for kernel in (rng.standard_normal((shape[-3], 7, 7)).astype(np.float32),
+                       rng.standard_normal((shape[-3], 7, 7))):
+            tape = ad.Tape()
+            kv = tape.leaf(kernel, requires_grad=True)
+            out = ad.depthwise_conv7x7(x, kv)
+            grad = tape.backward(ad.sum_all(ad.mul(out, up)))[kv.vid]
+            want = oracles.depthwise_kernel_grad_taps(x, up).astype(kernel.dtype)
+            assert grad.dtype == kernel.dtype
+            assert grad.tobytes() == want.tobytes()
 
 
 class TestHandGradients:

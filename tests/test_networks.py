@@ -1,5 +1,6 @@
 """Toy networks: backbone geometry, neck wiring, classifier training."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from pst import psa
 from pst import tensor_ops as ops
 from pst.errors import ContractError, DimensionError
 from pst.params import learnable_arrays, map_arrays, named_arrays
+from test_threads import DIGEST_PLATFORM, _platform, needs_control
 
 
 class TestBackbone:
@@ -436,3 +438,34 @@ class TestTrainToy:
         assert len(result.losses) == 30
         assert result.losses[-1] < result.losses[0]
         assert result.state.step == 30
+
+    @needs_control
+    def test_training_bytes_equal_the_recorded_run(self):
+        """The 20 losses, the parameters and running statistics after them,
+        and the logits of one evaluation slice, against digests taken before
+        the batch-norm, row-max and depthwise-gradient kernels took their
+        long-loop forms. Every op has its own byte oracle; this pins how they
+        compose over a whole training run."""
+        if _platform() != DIGEST_PLATFORM:
+            pytest.skip("digests were recorded with another numpy, BLAS build or CPU")
+        result = nets.train_toy(seed=1, steps=20)
+        logits = nets.cls_forward_batch(result.images[:nets.EVAL_SLICE], result.state.params,
+                                        result.state.cfg)
+        arrays = named_arrays(result.state.params)
+        got = (_digest(np.array(result.losses)), _digest(*arrays.values()), _digest(logits))
+        assert len(arrays) == 47
+        assert got == TRAIN_DIGESTS
+
+
+# SHA-256 prefixes of train_toy(seed=1, steps=20)'s losses, of its parameters
+# and buffers in tree order, and of the infer-mode logits of its first 64
+# images, on the platform of tests/test_threads.py's BLOCK_DIGESTS.
+TRAIN_DIGESTS = ("3b1406339e87df85c39550e59ca97ed9", "e38de1e3c87914e15db5b42f05bee3ee",
+                 "73759e7472a1a6b23fb3e32f06afd783")
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:32]

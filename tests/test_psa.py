@@ -211,6 +211,73 @@ class TestAttentionCore:
         exact /= 2 * 4096
         assert np.abs(scores - exact).max() <= 1e-4 * exact.mean()
 
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("lead, n", [((), 64), ((), 128), ((64,), 64), ((4, 8), 16)])
+    def test_skinny_stacks_match_the_row_max_steps(self, heads, lead, n):
+        """Tiles with at least ATTENTION_COLUMN_MAX_ROWS rows per key take
+        their row max over the key columns; out, scores and weights keep the
+        bytes of the tile steps with numpy's row max (the 64-query map alone
+        is the control that still takes it). Small-integer queries and keys
+        make exact ties and rows of zero logits, signed zeros among them."""
+        m, d = 16, 8
+        rng = np.random.default_rng([64, heads, n, len(lead)])
+        q = rng.integers(-2, 3, (*lead, n, d)).astype(np.float32)
+        k = rng.integers(-2, 3, (*lead, m, d)).astype(np.float32)
+        v = rng.standard_normal((*lead, m, d)).astype(np.float32)
+        q[..., ::5, :] = 0.0
+        q[..., 1::7, :] = -0.0
+        k[..., ::3, :] *= -0.0
+        column_max = n * max(1, int(np.prod(lead))) >= ops.ATTENTION_COLUMN_MAX_ROWS * m
+        assert column_max == (lead != () or n == 128)
+        weights = ops.attention_weights_buffer(q, k, heads)
+        out, scores = psa.attention(q, k, v, heads, weights)
+        want = oracles.attention_tile_steps(q, k, v, heads)
+        for got, ref in zip((out, scores, weights), want):
+            assert got.shape == ref.shape and got.dtype == ref.dtype
+            assert got.tobytes() == ref.tobytes()
+
+    def test_column_max_keeps_the_weights_of_signed_zero_maxima(self):
+        """Rows whose maximum is -0, +0, a tie of both, a tie of equal
+        values or infinite: the column max equals numpy's max up to the sign
+        of a zero, and exp(tile - max) keeps its bytes. A NaN row gives NaN
+        in the same row; the bytes of that NaN may differ and are not
+        compared."""
+        ops.set_debug_checks(False)
+        tile = np.array([[-0.0, -1.0, -2.0], [0.0, -0.0, -3.0], [-0.0, 0.0, -1.0],
+                         [2.0, 2.0, 1.0], [-5.0, -5.0, -5.0], [1.0, np.inf, 3.0],
+                         [-np.inf, -np.inf, -np.inf], [1.0, np.nan, 2.0]], dtype=np.float32)
+        tile = np.stack([tile, tile[::-1, ::-1]])
+        got = ops._column_max(tile, np.empty(tile.shape[:-1], dtype=tile.dtype))
+        want = tile.max(axis=-1)
+        assert np.array_equal(got, want, equal_nan=True)
+        with np.errstate(invalid="ignore"):
+            e_got = np.exp(tile - got[..., None])
+            e_want = np.exp(tile - want[..., None])
+        finite = ~np.isnan(e_want)
+        assert np.array_equal(np.isnan(e_got), ~finite)
+        assert e_got[finite].tobytes() == e_want[finite].tobytes()
+
+    @pytest.mark.parametrize("lead", [(), (32,)])
+    def test_nan_query_row_gives_nan_in_the_same_places(self, lead):
+        """A NaN in one query row makes that row of ``out`` and of the
+        weights NaN, and the key scores of its sample, on both row-max
+        paths; every other element keeps the oracle's bytes. The bytes of
+        the NaNs may differ and are not compared."""
+        ops.set_debug_checks(False)
+        rng = np.random.default_rng(65)
+        q, k, v = (rng.standard_normal((*lead, rows, 8)).astype(np.float32)
+                   for rows in (64, 16, 16))
+        assert (64 * max(1, int(np.prod(lead))) >= ops.ATTENTION_COLUMN_MAX_ROWS * 16) == bool(lead)
+        q[(0,) * len(lead) + (5, 3)] = np.nan
+        weights = ops.attention_weights_buffer(q, k, 2)
+        got = (*psa.attention(q, k, v, 2, weights), weights)
+        wants = oracles.attention_tile_steps(q, k, v, 2)
+        assert not np.isnan(wants[0]).all() and np.isnan(wants[1]).any()
+        for have, want in zip(got, wants):
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(have), nan)
+            assert have[~nan].tobytes() == want[~nan].tobytes()
+
     def test_weights_buffer_shape_checked(self):
         with pytest.raises(DimensionError):
             psa.attention(np.zeros((4, 4)), np.zeros((2, 4)), np.zeros((2, 4)), 2,

@@ -222,13 +222,11 @@ class TestDepthwiseConv7x7:
         assert np.allclose(ops.depthwise_conv7x7(x, k), oracles.depthwise_4loop(x, k), atol=1e-5)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("shape, channels_last", [
-        ((5, 9, 11), False), ((2, 3, 16, 16), False), ((40, 8, 3), True), ((4, 64, 4, 4), True)])
-    def test_bytes_equal_49_tap_formula(self, dtype, shape, channels_last):
+    @pytest.mark.parametrize("shape", [(5, 9, 11), (2, 3, 16, 16), (40, 8, 3), (4, 64, 4, 4)])
+    def test_bytes_equal_49_tap_formula(self, dtype, shape):
         rng = np.random.default_rng(7)
         x = rng.standard_normal(shape).astype(dtype)
         k = rng.standard_normal((shape[-3], 7, 7)).astype(dtype)
-        assert ops.taps_channels_last(x) == channels_last
         got = ops.depthwise_conv7x7(x, k)
         assert got.dtype == x.dtype
         assert got.tobytes() == oracles.depthwise_49_taps(x, k).tobytes()
@@ -316,6 +314,68 @@ class TestDepthwiseConv7x7:
         assert not got.flags.writeable
 
 
+class TestDepthwiseKernelGrad:
+    @staticmethod
+    def signed_zeros(rng, shape, dtype):
+        a = rng.standard_normal(shape).astype(dtype)
+        u = rng.random(shape)
+        a[u < 0.15] = 0.0
+        a[u > 0.9] = -0.0
+        return a
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [
+        (32, 32, 4, 4), (2, 64, 8, 8), (40, 8, 3), (3, 9, 2, 2), (4, 5, 1, 1),
+        (5, 9, 11), (2, 3, 16, 16), (3, 1, 1, 1), (2, 2, 1, 1), (1, 4, 2, 2)])
+    def test_bytes_equal_per_tap_sums(self, dtype, shape):
+        """Channel-last stacks of small grids (C > 2W) and channel-first maps
+        alike give the bytes of one numpy sum per tap, with +0.0 and -0.0
+        among the inputs."""
+        rng = np.random.default_rng([14, *shape])
+        x, up = (self.signed_zeros(rng, shape, dtype) for _ in range(2))
+        got = ops.depthwise_kernel_grad(x, up)
+        want = oracles.depthwise_kernel_grad_taps(x, up)
+        assert got.shape == want.shape and got.dtype == want.dtype and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+    @given(st.sampled_from([np.float32, np.float64]),
+           st.lists(st.integers(1, 3), max_size=2),
+           st.integers(1, 40), st.integers(1, 9), st.integers(1, 9), st.integers(0, 2**32 - 1))
+    def test_bytes_equal_per_tap_sums_property(self, dtype, lead, c, h, w, seed):
+        rng = np.random.default_rng(seed)
+        x, up = (self.signed_zeros(rng, (*lead, c, h, w), dtype) for _ in range(2))
+        got = ops.depthwise_kernel_grad(x, up)
+        assert got.tobytes() == oracles.depthwise_kernel_grad_taps(x, up).tobytes()
+
+    def test_mixed_dtypes_sum_in_the_wider(self):
+        rng = np.random.default_rng(15)
+        x = rng.standard_normal((6, 20, 4, 4)).astype(np.float32)
+        up = rng.standard_normal(x.shape)
+        got = ops.depthwise_kernel_grad(x, up)
+        assert got.dtype == np.float64
+        assert got.tobytes() == oracles.depthwise_kernel_grad_taps(x, up).tobytes()
+
+    @pytest.mark.parametrize("shape", [(8, 32, 4, 4), (2, 3, 9, 9)])
+    def test_nan_pixel_gives_nan_in_the_same_taps(self, shape):
+        """A NaN pixel makes NaN every tap whose window reaches it, in the
+        same places as the per-tap sums; the bytes of those NaNs may differ
+        and are not compared."""
+        ops.set_debug_checks(False)
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal(shape).astype(np.float32)
+        up = rng.standard_normal(shape).astype(np.float32)
+        x[1, 2, 0, 1] = np.nan
+        got = ops.depthwise_kernel_grad(x, up)
+        want = oracles.depthwise_kernel_grad_taps(x, up)
+        assert np.isnan(got).any() and not np.isnan(got).all()
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert got[~np.isnan(got)].tobytes() == want[~np.isnan(want)].tobytes()
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionError):
+            ops.depthwise_kernel_grad(np.zeros((2, 3, 4, 4)), np.zeros((2, 3, 4, 5)))
+
+
 class TestBatchNorm:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_stats_are_the_token_rows_mean_and_var(self, dtype):
@@ -326,6 +386,35 @@ class TestBatchNorm:
         for mean, var in (ops.channel_stats(x, 1), ops.channel_stats(rows, 1)):
             assert mean.tobytes() == rows.mean(axis=0).tobytes()
             assert var.tobytes() == rows.var(axis=0).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape, channel_axis", [
+        ((32, 16, 16, 16), 1), ((32, 32, 8, 8), 1), ((32, 64, 4, 4), 1), ((2, 16, 4, 4), 1),
+        ((32, 64, 32), 2), ((2, 4096, 64), 2), ((16, 8, 8), 0), ((3, 1, 4, 4), 1),
+        ((1, 40, 64, 64), 1), ((7, 3, 2), 2)])
+    def test_stats_bytes_at_every_layout(self, dtype, shape, channel_axis):
+        """The einsum sums over contiguous rows, the reduce over a single
+        map's strided rows and over one channel: numpy's mean and var over
+        the rows, byte for byte, with magnitudes spread over 16 binades."""
+        rng = np.random.default_rng([10, *shape])
+        x = (rng.standard_normal(shape) * np.exp2(rng.integers(-8, 8, shape)) + 3).astype(dtype)
+        rows = np.moveaxis(x, channel_axis, -1).reshape(-1, shape[channel_axis])
+        mean, var = ops.channel_stats(x, channel_axis)
+        assert mean.tobytes() == rows.mean(axis=0).tobytes()
+        assert var.tobytes() == rows.var(axis=0).tobytes()
+
+    def test_stats_of_a_nan_row(self):
+        """A NaN makes its channel's mean and variance NaN and leaves the
+        others' bytes; the bytes of the NaN may differ from numpy's and are
+        not compared."""
+        ops.set_debug_checks(False)
+        x = np.random.default_rng(11).standard_normal((4, 6, 3, 3)).astype(np.float32)
+        x[2, 4, 1, 0] = np.nan
+        rows = np.moveaxis(x, 1, -1).reshape(-1, 6)
+        for got, want in zip(ops.channel_stats(x, 1), (rows.mean(axis=0), rows.var(axis=0))):
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            assert np.isnan(got[4]) and np.isnan(got).sum() == 1
+            assert got[:4].tobytes() == want[:4].tobytes()
 
     def test_identity_stats(self):
         x = np.random.default_rng(7).standard_normal((3, 4, 4))
