@@ -266,8 +266,12 @@ def select_fine_indices(scores: np.ndarray, cfg: PsaConfig,
     return TopKSelection(coarse_indices=chosen, scores=np.asarray(scores)[chosen], fine_indices=fine)
 
 
-def _fine_attention(q, x_tokens, wk, wv, selection: TopKSelection, heads: int):
-    x_sel = ad.gather_rows(x_tokens, selection.fine_indices)
+def _gather_fine_tokens(x_tokens, selection: TopKSelection):
+    """The [4k, d] fine tokens of a sample's selection, in its order."""
+    return ad.gather_rows(x_tokens, selection.fine_indices)
+
+
+def _fine_attention(q, x_sel, wk, wv, heads: int):
     out, _ = attention(q, _project(x_sel, wk), _project(x_sel, wv), heads)
     return out
 
@@ -282,7 +286,7 @@ def fine_attention(q, x_tokens, p: PsaParams, selection: TopKSelection, heads: i
     if selection.fine_indices.size == 0:
         n, dim = _val(q).shape
         return np.zeros((n, dim), dtype=_val(q).dtype)
-    return _fine_attention(q, x_tokens, p.wk, p.wv, selection, heads)
+    return _fine_attention(q, _gather_fine_tokens(x_tokens, selection), p.wk, p.wv, heads)
 
 
 def dense_cross_attention(q: np.ndarray, keys: np.ndarray, vals: np.ndarray, heads: int) -> np.ndarray:
@@ -380,21 +384,26 @@ def _psa_tail(tokens: list, shared_wk, shared_wv, p: PsaParams, cfg: PsaConfig,
     del k
     gating = cfg.fusion_mode == "self_gating"
     branch_fine = np.zeros_like(_val(out_coarse)) if gating else None
+    # Each sample's selected fine tokens, gathered before the first fine
+    # attention so that the fine-token stack can go first.
+    fine_tokens = []
     if want_fine or inspect:
         for idx, diag in zip(np.ndindex(*scores.shape[:-1]), diagnostics):
             selection = select_fine_indices(scores[idx], cfg, coarse_dims)
             if diag is not None:
                 diag.update(attention=weights[idx], key_scores=scores[idx], selection=selection)
             if want_fine and selection.fine_indices.size:
-                # Fine attention runs only untaped, on plain arrays; a sample
-                # with nothing selected keeps its coarse output as it is.
-                out_fine = _fine_attention(
-                    q[idx], x_tokens[idx], shared_wk, shared_wv, selection, cfg.heads)
-                if gating:
-                    branch_fine[idx] = out_fine
-                else:
-                    out_coarse[idx] += out_fine
-    del q, x_tokens
+                fine_tokens.append((idx, _gather_fine_tokens(x_tokens[idx], selection)))
+    del x_tokens
+    # Fine attention runs only untaped, on plain arrays; a sample with
+    # nothing selected keeps its coarse output as it is.
+    for idx, x_sel in fine_tokens:
+        out_fine = _fine_attention(q[idx], x_sel, shared_wk, shared_wv, cfg.heads)
+        if gating:
+            branch_fine[idx] = out_fine
+        else:
+            out_coarse[idx] += out_fine
+    del q, fine_tokens
 
     if gating:
         gate = self_gate(out_coarse, branch_fine, p, cfg)

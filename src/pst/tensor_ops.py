@@ -356,7 +356,17 @@ def depthwise_conv7x7(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     an outer axis one slice after another, in order; it sums pairwise only
     when the slices are a single element. Chunks are balanced, so that
     happens only for one 1x1 map of one channel, whose one nonzero product
-    makes any order exact. The output is a channel-last view.
+    makes any order exact.
+
+    On a wide channel axis over a small grid (C >= 32 and C > 2W), short
+    rows make those chunks slow, and one ``np.einsum`` over the
+    ``[b, H, W, 7, 7, C]`` tap view of the padded storage (see
+    :func:`_position_taps`) against the C-contiguous ``[7, 7, C]`` kernel
+    forms the output instead. The channel axis is the smallest stride of
+    all three operands, so it is einsum's inner loop, and each step adds one
+    product to one output, from +0 and in row-major tap order: the same
+    bytes. With one channel a tap axis would become the inner loop and be
+    summed apart first. The output is a channel-last view.
     """
     _require_map("depthwise_conv7x7", x)
     *lead, c, h, w = x.shape
@@ -364,13 +374,26 @@ def depthwise_conv7x7(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
         raise DimensionError(f"depthwise kernel {kernel.shape} does not match input {x.shape}")
     if x.size == 0:
         return np.zeros(x.shape, dtype=x.dtype)
-    b, wc = x.size // (c * h * w), w * c
     xp = _pad_channels_last(x)
+    if c >= 32 and c > 2 * w:
+        kernel_uvc = np.ascontiguousarray(kernel.transpose(1, 2, 0), dtype=x.dtype)
+        out = np.einsum("sijuvc,uvc->sijc", _position_taps(xp, h, w, c), kernel_uvc)
+    else:
+        out = _depthwise_chunks(xp, kernel, h, w, c)
+    nl = len(lead)
+    return _checked(out.reshape(*lead, h, w, c).transpose(*range(nl), nl + 2, nl, nl + 1))
+
+
+def _depthwise_chunks(xp: np.ndarray, kernel: np.ndarray, h: int, w: int, c: int) -> np.ndarray:
+    """The [b, H, W * C] channel-last correlation of the padded storage
+    ``xp`` with ``kernel``, one multiply and one reduce per chunk (see
+    :func:`depthwise_conv7x7`)."""
+    b, wc = xp.shape[0], w * c
     windows = _tap_windows(xp, h, wc, c)
-    taps = np.empty((7, 7, w, c), dtype=x.dtype)
+    taps = np.empty((7, 7, w, c), dtype=xp.dtype)
     taps[...] = kernel.transpose(1, 2, 0)[:, :, None]  # taps[u, v, j, ch] = kernel[ch, u, v]
     taps = taps.reshape(7, 7, 1, 1, wc)
-    out = np.empty((b, h, wc), dtype=x.dtype)
+    out = np.empty((b, h, wc), dtype=xp.dtype)
     per_row = 49 * wc
     if h * per_row <= DEPTHWISE_CHUNK:  # groups of whole samples
         groups, blocks = -(-b // (DEPTHWISE_CHUNK // (h * per_row))), 1
@@ -378,15 +401,14 @@ def depthwise_conv7x7(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
         groups, blocks = b, -(-h // max(1, DEPTHWISE_CHUNK // per_row))
     s_cut = [i * b // groups for i in range(groups + 1)]
     r_cut = [i * h // blocks for i in range(blocks + 1)]
-    prod = np.empty(per_row * -(-b // groups) * -(-h // blocks), dtype=x.dtype)
+    prod = np.empty(per_row * -(-b // groups) * -(-h // blocks), dtype=xp.dtype)
     for s0, s1 in zip(s_cut, s_cut[1:]):
         for r0, r1 in zip(r_cut, r_cut[1:]):
             p = prod[: per_row * (s1 - s0) * (r1 - r0)].reshape(7, 7, s1 - s0, r1 - r0, wc)
             np.multiply(taps, windows[:, :, s0:s1, r0:r1], out=p)
             np.add.reduce(p.reshape(49, s1 - s0, r1 - r0, wc), axis=0, initial=0,
                           out=out[s0:s1, r0:r1])
-    nl = len(lead)
-    return _checked(out.reshape(*lead, h, w, c).transpose(*range(nl), nl + 2, nl, nl + 1))
+    return out
 
 
 def _pad_channels_last(x: np.ndarray) -> np.ndarray:
@@ -400,6 +422,14 @@ def _pad_channels_last(x: np.ndarray) -> np.ndarray:
     interior = xp.reshape(b, h + 6, w + 6, c)[:, 3 : h + 3, 3 : w + 3]
     interior[...] = x.reshape(b, c, h, w).transpose(0, 2, 3, 1)
     return xp
+
+
+def _position_taps(xp: np.ndarray, h: int, w: int, c: int) -> np.ndarray:
+    """Read-only view ``[b, h, w, 7, 7, c]`` of the C-contiguous padded
+    storage ``xp``: ``taps[s, i, j, u, v, ch] = xp[s, u + i, (v + j) * c + ch]``."""
+    s_sample, s_row, s_item = xp.strides
+    return as_strided(xp, shape=(xp.shape[0], h, w, 7, 7, c), writeable=False,
+                      strides=(s_sample, s_row, c * s_item, s_row, c * s_item, s_item))
 
 
 def _tap_windows(xp: np.ndarray, h: int, wc: int, c: int) -> np.ndarray:
@@ -438,11 +468,7 @@ def depthwise_kernel_grad(x: np.ndarray, up: np.ndarray) -> np.ndarray:
     x, up = x.astype(dtype, copy=False), up.astype(dtype, copy=False)
     if c > 2 * w and x.size:
         b = x.size // (c * h * w)
-        xp = _pad_channels_last(x)
-        s_sample, s_row, s_item = xp.strides
-        # taps[s, i, j, u, v, ch] = xp[s, u + i, (v + j) * c + ch]
-        taps = as_strided(xp, shape=(b, h, w, 7, 7, c), writeable=False,
-                          strides=(s_sample, s_row, c * s_item, s_row, c * s_item, s_item))
+        taps = _position_taps(_pad_channels_last(x), h, w, c)
         up_last = np.empty((b, h, w, c), dtype=dtype)
         up_last[...] = up.reshape(b, c, h, w).transpose(0, 2, 3, 1)
         return np.ascontiguousarray(np.einsum("sijuvc,sijc->uvc", taps, up_last).transpose(2, 0, 1))

@@ -1,6 +1,7 @@
 """Tape mechanics, per-op gradient checks, and the checker's own guarantees."""
 
 import inspect
+import weakref
 
 import numpy as np
 import pytest
@@ -316,6 +317,72 @@ def test_every_recordable_op_has_a_gradcheck_case():
     assert recording <= set(OP_CASES) | {"attention", "batch_norm"}
 
 
+# Closure variables through which a backward rule reads an array in its
+# arithmetic; a rule of any other op holds no array at all. A rule reads its
+# operands' shapes and dtypes, and which operands are Vars, from plain values.
+RULE_READS = {
+    "mul": {"a_factor", "b_factor"},
+    "matmul": {"right", "left"},
+    "softmax_rows": {"y"},
+    "attention": {"weights", "logits_values", "logits_out", "q_reads", "k_reads"},
+    "conv1x1": {"weight", "inputs"},
+    "depthwise_conv7x7": {"inputs", "turned"},
+    "batch_norm": {"xhat", "inv", "gamma_v"},
+    "gather_rows": {"idx"},
+    "linear": {"weight", "inputs"},
+    "silu": {"xv", "s"},
+    "sigmoid": {"y"},
+    "cross_entropy": {"probs", "onehot"},
+}
+
+
+def _held(obj):
+    """The Vars and arrays a closure cell holds, looking into sequences."""
+    if isinstance(obj, (ad.Var, np.ndarray)):
+        return [obj]
+    if isinstance(obj, (list, tuple)):
+        return [x for item in obj for x in _held(item)]
+    return []
+
+
+class TestTapeMemory:
+    def test_rules_hold_only_what_they_read(self):
+        """Every op, recorded once per gradcheck case: no rule holds a Var
+        (which owns its value), and each array a rule holds is one its
+        arithmetic reads, not one it needs only for a shape or a dtype."""
+        seen: dict[str, set] = {}
+        for case in OP_CASES.values():
+            params, build = case(np.random.default_rng(0))
+            tape = ad.Tape()
+            lifted, _ = ad.lift_tree(tape, params)
+            build(lifted)
+            for node in tape._nodes:
+                cells = zip(node.bwd.__code__.co_freevars, node.bwd.__closure__ or ())
+                for name, cell in cells:
+                    held = _held(cell.cell_contents)
+                    assert not any(isinstance(x, ad.Var) for x in held), (node.op, name)
+                    if held:
+                        assert name in RULE_READS.get(node.op, ()), (node.op, name)
+                        seen.setdefault(node.op, set()).add(name)
+        assert seen == RULE_READS
+
+    def test_value_read_only_by_the_next_op_is_freed(self):
+        """A conv1x1 output that only the following batch_norm reads (its
+        rule keeps x-hat, not the input) is freed once its Var is."""
+        rng = np.random.default_rng(50)
+        tape = ad.Tape()
+        w, gamma, beta = (tape.leaf(a, requires_grad=True) for a in (
+            rng.standard_normal((4, 3)), np.ones(4), np.zeros(4)))
+        h = ad.conv1x1(rng.standard_normal((2, 3, 5, 5)), w)
+        refs = [weakref.ref(a) for a in (h.value, h.value.base) if a is not None]
+        y, _, _ = ad.batch_norm(h, gamma, beta, np.zeros(4), np.ones(4), mode="train",
+                                channel_axis=-3)
+        del h
+        assert all(ref() is None for ref in refs)
+        grads = tape.backward(ad.sum_all(ad.mul(y, rng.standard_normal((2, 4, 5, 5)))))
+        assert grads[w.vid].shape == (4, 3)
+
+
 class TestKernelBytes:
     """The rewritten kernels against their formulas in ``oracles``, byte for
     byte, with and without a tape."""
@@ -526,6 +593,49 @@ class TestCheckerGuarantees:
         report = ad.check_gradients(lambda p: ad.sum_all(p["used"]), params)
         assert {e.name for e in report.entries} == {"used", "idle"}
         assert report.passed
+
+    def test_gradient_below_finite_difference_resolution_passes(self):
+        """A shift that train-mode normalization removes has a structurally
+        zero gradient: rounding noise on the tape (about 1e-15) and one
+        rounding step of the loss in finite differences (8.9e-11), which
+        relative_error alone rejects."""
+        rng = np.random.default_rng(1)
+        params = {"x": rng.standard_normal((6, 3)), "shift": rng.standard_normal(3)}
+        mean, var, r = np.zeros(3), np.ones(3), rng.standard_normal((6, 3))
+
+        def build(p):
+            y, _, _ = ad.batch_norm(ad.add_bias(p["x"], p["shift"]), np.ones(3), np.zeros(3),
+                                    mean, var, mode="train", channel_axis=-1)
+            return ad.sum_all(ad.mul(y, r))
+
+        tape = ad.Tape()
+        lifted, leaves = ad.lift_tree(tape, params)
+        analytic = tape.backward(build(lifted))[leaves["shift"].vid]
+        shift = params["shift"]
+        base = shift.copy()
+
+        def f(candidate):
+            shift[...] = candidate
+            try:
+                return float(build(params))
+            finally:
+                shift[...] = base
+
+        numeric = ad.finite_diff_grad(f, base)
+        assert np.abs(analytic).max() < 1e-14 and np.abs(numeric).max() > 1e-11
+        assert ad.relative_error(analytic, numeric) > 1e-4
+        report = ad.check_gradients(build, params)
+        assert report.passed, report.to_text()
+        errors = {e.name: e.max_rel_error for e in report.entries}
+        assert errors["shift"] == 0.0 and errors["x"] > 0.0
+
+    def test_zero_tape_gradient_of_a_used_leaf_fails(self):
+        """A leaf the loss reads past the tape gets an exactly zero tape
+        gradient; its numeric gradient is resolved, so the check fails."""
+        params = {"w": np.ones(3), "hidden": np.full(2, 0.5)}
+        report = ad.check_gradients(
+            lambda p: ad.scalar_affine(ad.sum_all(p["w"]), float(p["hidden"].value.sum())), params)
+        assert [e.name for e in report.failures()] == ["hidden"]
 
     def test_report_text_pass_and_fail(self):
         good = ad.GradReport([ad.GradCheckEntry("w", 1e-9)])

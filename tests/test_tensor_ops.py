@@ -233,7 +233,7 @@ class TestDepthwiseConv7x7:
 
     @given(st.sampled_from([np.float32, np.float64]),
            st.lists(st.integers(1, 3), max_size=2),
-           st.integers(1, 24), st.integers(1, 24), st.integers(1, 24), st.integers(0, 2**32 - 1))
+           st.integers(1, 40), st.integers(1, 24), st.integers(1, 24), st.integers(0, 2**32 - 1))
     # Around the chunk of 2**16 products: C*H*W = 1337 is the largest sample
     # one chunk holds, 668 the largest that two hold; a one-column map of
     # 1338 rows splits into row blocks, and W*C = 1400 rows each exceed a chunk.
@@ -246,6 +246,15 @@ class TestDepthwiseConv7x7:
     @example(np.float32, [3], 4, 167, 2, 5)
     @example(np.float32, [2], 2, 3, 700, 6)
     @example(np.float64, [2, 2], 1, 1, 1, 7)
+    # The einsum form (C >= 32 and C > 2W): the stacks of training and
+    # evaluation, the neck's maps, and both sides of each bound of the gate.
+    @example(np.float32, [64], 32, 4, 4, 8)
+    @example(np.float32, [32], 64, 8, 8, 9)
+    @example(np.float32, [], 32, 4, 4, 10)
+    @example(np.float32, [], 16, 8, 8, 11)
+    @example(np.float64, [2], 33, 3, 16, 12)
+    @example(np.float32, [2], 32, 3, 16, 13)
+    @example(np.float64, [3], 31, 5, 2, 14)
     def test_bytes_equal_49_tap_formula_property(self, dtype, lead, c, h, w, seed):
         """Any stack of maps, with +0.0 and -0.0 among the inputs and zero
         taps, gives the oracle's bytes."""
