@@ -24,7 +24,7 @@ from . import autodiff as ad
 from .autodiff import Tape, lift_tree
 from .errors import ContractError, DimensionError, DivergenceError, NumericError
 from .params import BatchNormState, kaiming, learnable_arrays
-from .psa import PsaConfig, normalize_maps
+from .psa import PsaConfig, conv_norm
 from .pst_block import PstConfig, PstParams, pst_forward
 
 BACKBONE_CHANNELS = (16, 32, 64)
@@ -71,14 +71,15 @@ def backbone_forward(x, p: BackboneParams, *, bn_mode: str = "infer",
     ``x`` is a [..., 3, 32, 32] stack of images, giving one
     ``PyramidFeatures`` of stacked levels; a bare [3, 32, 32] image is the
     no-batch case. The normalization sites see joint statistics over the
-    batch.
+    batch; in infer mode with plain parameters each folds into one
+    per-channel affine on its conv's output (:func:`pst.psa.conv_norm`).
     """
     if ad._val(x).shape[-3:] != IMAGE_SHAPE:
         raise DimensionError(f"expected {IMAGE_SHAPE} images, got {ad._val(x).shape}")
     levels = []
     for conv, norm in zip(p.convs, p.norms):
-        x = ad.conv1x1(ad.downsample_avg2x(x), conv)
-        x = ad.silu(normalize_maps(x, norm, bn_mode, stat_sink))
+        x = ad.silu(conv_norm(ad.downsample_avg2x(x), conv, norm, bn_mode, stat_sink),
+                    in_place=True)
         levels.append(x)
     return PyramidFeatures(*levels)
 

@@ -20,7 +20,7 @@ weights are built only when diagnostics ask for them. On the tape the core is
 one ``attention`` op with its own backward rule. A block call whose coarse
 attention has (tile, head) work units large enough to share runs inside one
 BLAS-thread scope (:func:`block_scope`), where the core shares them with a
-second thread; see :mod:`pst.threads`.
+second thread and numpy advises no huge pages; see :mod:`pst.threads`.
 
 One batch-first function runs the block: :func:`psa_forward` takes one
 ``[..., d, H, W]`` stack per input, and a bare ``[d, H, W]`` map is the
@@ -37,11 +37,30 @@ branches, the positional term and both normalizations in buffers it
 allocated itself; inputs, parameters, diagnostics and the keys, values and
 fine tokens :func:`psa_stack_forward` shares between stages are never
 written.
+
+In infer mode, when its parameters are plain arrays, each normalization site
+folds, per call and without a cache: its running statistics and affine
+become a per-channel ``scale`` and ``shift``
+(:func:`pst.tensor_ops.fold_batch_norm`, which checks the running variance
+on every fold), applied in place to the output of the linear map before it
+(:func:`pst.tensor_ops.channel_affine`), two passes where the batch norm
+makes four. ``bn_cpe``'s shift reaches the output only through ``wo``, in
+either fusion mode, because the positional term joins after the branches
+are gated. So it joins ``bn_out``'s shift as
+``scale_out * (wo @ shift_cpe) + shift_out``, and ``bn_cpe`` makes one
+pass. :func:`conv_norm` folds a pointwise conv's site the same way. No
+weight is copied with a scale in it. Train mode and parameters on a tape
+keep the batch norm. Folding changes rounding only,
+and not at all while every site holds its initial statistics;
+``tests/test_fold.py`` bounds a folded float32 block against the float64
+oracle at ``2e-4 * (1 + |ref|)``, and a float64 one at
+``1e-10 * (1 + |ref|)``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -200,12 +219,29 @@ def normalize_tokens(tokens, bn: BatchNormState, mode: str, stat_sink: Optional[
     return _batch_norm(tokens, bn, mode, stat_sink, -1, True)
 
 
-def normalize_maps(maps, bn: BatchNormState, mode: str, stat_sink: Optional[list], *,
-                   in_place: bool = False):
-    """One normalization site over a [..., C, H, W] map stack, joint stats.
-    With ``in_place``, an unrecorded result overwrites ``maps``, which must
-    then be a stack the caller allocated."""
-    return _batch_norm(maps, bn, mode, stat_sink, -3, in_place)
+def _folds(mode: str, *arrays) -> bool:
+    """Whether normalization sites fold into the linear map before them: in
+    infer mode, when every parameter the fold reads is a plain array. Train
+    mode and taped parameters keep the batch norm."""
+    return mode == "infer" and _tape_of(*arrays) is None
+
+
+def _fold(bn: BatchNormState, channels: int) -> tuple[np.ndarray, np.ndarray]:
+    """A site's infer-mode ``(scale, shift)``; see :func:`pst.tensor_ops.fold_batch_norm`."""
+    return ops.fold_batch_norm(bn.gamma, bn.beta, bn.running_mean, bn.running_var, channels)
+
+
+def conv_norm(x, w, bn: BatchNormState, mode: str, stat_sink: Optional[list]):
+    """A pointwise conv by the [C_out, C_in] ``w`` and the normalization site
+    after it, over a [..., C_in, H, W] stack; statistics are joint across
+    the stack. Untaped, the site works in the conv output's own buffer:
+    where it folds (:func:`_folds`), as one per-channel affine
+    (:func:`pst.tensor_ops.channel_affine`), otherwise as the batch norm.
+    """
+    if _folds(mode, w, bn.gamma, bn.beta):
+        scale, shift = _fold(bn, w.shape[0])
+        return ad.channel_affine(ad.conv1x1(x, w), scale, shift, channel_axis=-3, in_place=True)
+    return _batch_norm(ad.conv1x1(x, w), bn, mode, stat_sink, -3, True)
 
 
 # --- attention stages ---------------------------------------------------------
@@ -236,7 +272,7 @@ def attention(q, keys, vals, heads: int, weights: Optional[np.ndarray] = None):
     B*N*M.
     """
     qv = _val(q)
-    _note_interactions(int(np.prod(qv.shape[:-1])) * _val(keys).shape[-2])
+    _note_interactions(math.prod(qv.shape[:-1]) * _val(keys).shape[-2])
     return ad.attention(q, keys, vals, heads, weights)
 
 
@@ -340,7 +376,7 @@ def _samples(lead: tuple, diagnostics: Optional[dict | list]) -> list:
     """One ``diagnostics`` entry per sample of a stack with leading axes
     ``lead``: a bare map (no leading axes) takes one dict, a stack a list
     with one dict or None per sample."""
-    count = int(np.prod(lead))
+    count = math.prod(lead)
     if diagnostics is None:
         return [None] * count
     if not lead and isinstance(diagnostics, dict):
@@ -366,7 +402,7 @@ def _psa_tail(tokens: list, shared_wk, shared_wv, p: PsaParams, cfg: PsaConfig,
 
     Untaped, the fusion works in the buffers this function allocates: the
     fine branch and the positional term are added into the coarse output,
-    and both normalizations overwrite their inputs.
+    and both normalizations, folded or not, overwrite their inputs.
     """
     q, k, v, x_tokens = tokens
     tokens.clear()
@@ -414,26 +450,44 @@ def _psa_tail(tokens: list, shared_wk, shared_wv, p: PsaParams, cfg: PsaConfig,
         branches = out_coarse
     del out_coarse
 
-    positional = normalize_tokens(conv_positional_encoding(v, coarse_dims, p.cpe_kernel),
-                                  p.bn_cpe, bn_mode, stat_sink)
+    # Where the two sites fold, bn_cpe's shift, passed through wo, joins
+    # bn_out's in one bias.
+    fold = _folds(bn_mode, p.wo, p.bn_cpe.gamma, p.bn_cpe.beta, p.bn_out.gamma, p.bn_out.beta)
+    positional = conv_positional_encoding(v, coarse_dims, p.cpe_kernel)
+    if fold:
+        cpe_scale, cpe_shift = _fold(p.bn_cpe, cfg.token_dim)
+        positional = ad.channel_affine(positional, cpe_scale, channel_axis=-1, in_place=True)
+    else:
+        positional = normalize_tokens(positional, p.bn_cpe, bn_mode, stat_sink)
     del v
     fused = ad.add(branches, positional, in_place=True)
     del branches, positional
     out = _project(fused, p.wo)
     del fused
-    return normalize_tokens(out, p.bn_out, bn_mode, stat_sink)
+    if not fold:
+        return normalize_tokens(out, p.bn_out, bn_mode, stat_sink)
+    out_scale, out_shift = _fold(p.bn_out, cfg.token_dim)
+    shift = (p.wo @ cpe_shift) * out_scale + out_shift
+    return ad.channel_affine(out, out_scale, shift, channel_axis=-1, in_place=True)
+
+
+@contextlib.contextmanager
+def _large_block_scope():
+    with threads.single_blas_thread(), threads.small_pages():
+        yield
 
 
 def block_scope(n: int, heads: int, samples: int):
-    """The BLAS scope of one block call over ``samples`` maps of ``n`` fine
-    tokens: one BLAS thread (:func:`pst.threads.single_blas_thread`) when its
-    coarse attention has work units to share with a second thread
-    (:func:`pst.tensor_ops.attention_shares_units`), no scope otherwise.
+    """The scope of one block call over ``samples`` maps of ``n`` fine
+    tokens: when its coarse attention has work units to share with a second
+    thread (:func:`pst.tensor_ops.attention_shares_units`), one BLAS thread
+    (:func:`pst.threads.single_blas_thread`) and no huge-page advice for the
+    block's arrays (:func:`pst.threads.small_pages`); no scope otherwise.
     Entered before the first projection, so that no threaded BLAS call inside
     the block wakes the BLAS worker."""
     if not ops.attention_shares_units(n, n // 4, heads, samples):
         return contextlib.nullcontext()
-    return threads.single_blas_thread()
+    return _large_block_scope()
 
 
 def psa_forward(x, u, p: PsaParams, cfg: PsaConfig, *,
@@ -456,7 +510,7 @@ def psa_forward(x, u, p: PsaParams, cfg: PsaConfig, *,
     _check_pair(x, u, cfg.token_dim)
     lead, (h, w) = _val(x).shape[:-3], _val(x).shape[-2:]
     diagnostics = _samples(lead, diagnostics)
-    with block_scope(h * w, cfg.heads, int(np.prod(lead))):
+    with block_scope(h * w, cfg.heads, math.prod(lead)):
         x_tokens = ad.map_to_tokens(x)
         del x
         tokens = [*project_qkv(x_tokens, ad.map_to_tokens(u), p), x_tokens]

@@ -41,6 +41,9 @@ _debug_checks = False
 # which stays in L2 between the multiply that writes it and the reduce.
 DEPTHWISE_CHUNK = 1 << 16
 
+# The variance floor of every normalization site.
+BN_EPS = 1e-5
+
 # Most elements each temporary of sigmoid and silu holds: the same 256 KiB of
 # float32, walked through every step while it stays in L2. A fixed size, not
 # a knob; an array of at most this many elements runs whole.
@@ -173,7 +176,9 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
     them all in order, without the lock and the pending tiles that sharing
     needs. Each unit writes only its own rows and the partials are added in
     the same order either way, so the bytes of ``out``, the scores and the
-    weights do not depend on it.
+    weights do not depend on it. Nor does the heap: the calling thread
+    allocates every buffer the units write before it hands out the first,
+    and frees every array of the call itself (:func:`_run_shared`).
     """
     if (q.ndim < 2 or k.ndim != q.ndim or v.shape != k.shape or k.shape[-1] != q.shape[-1]
             or k.shape[:-2] != q.shape[:-2] or not k.shape[-2]):
@@ -189,14 +194,18 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
     dtype = np.result_type(q, k, v)
     out = np.empty(q.shape, dtype=dtype)
     colsum = np.zeros((*lead, m), dtype=np.float64)
+    workers = threads.core_workers()
+    if workers > 1 and not attention_shares_units(n, m, heads, math.prod(lead)):
+        workers = 1
     units = _AttentionUnits(
         split_heads(q * dtype.type(1.0 / math.sqrt(dim // heads)), heads),
         split_heads(k, heads).swapaxes(-1, -2), split_heads(v, heads),
-        split_heads(out, heads), weights, colsum, _tile_rows(n, m, heads))
-    if threads.core_workers() < 2 or not attention_shares_units(n, m, heads, math.prod(lead)):
+        split_heads(out, heads), weights, colsum, _tile_rows(n, m, heads), workers)
+    if workers < 2:
         units.run_inline()
     else:
-        future = threads.pool().submit(units.run)
+        shared = [units]
+        future = threads.pool().submit(_run_shared, shared)
         try:
             units.run()
         finally:
@@ -204,9 +213,20 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
             # with another call, or absent in a forked child.
             units.close()
             error = None if future.cancel() else future.exception()
+            shared.clear()
         if error is not None:
             raise error
     return _checked(out), colsum / (heads * n)
+
+
+def _run_shared(shared: list) -> None:
+    """The pool worker's part of a shared :func:`attention` call, reached
+    through ``shared``, which the caller empties once the worker is done or
+    cancelled. So the worker never drops the last reference to an array of
+    the call, such as the scaled queries: each is freed on the calling
+    thread, at the same point of every call."""
+    if shared:
+        shared[0].run()
 
 
 # Fewest rows per key a tile of :func:`attention` holds, over all samples,
@@ -230,51 +250,72 @@ def _column_max(tile: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+# Key-score partial buffers the calling thread allocates for a shared
+# attention call before it hands out any unit: tiles whose heads have
+# started but whose partials are not yet in the accumulator. On two threads
+# they are rarely more than three; a thread that would start one more waits
+# for the other to finish its unit. A fixed size, not a knob.
+ATTENTION_PARTIAL_SLOTS = 4
+
+
 class _AttentionUnits:
     """The (tile, head) units of one :func:`attention` call: run in order by
     :meth:`run_inline`, or handed out in tile-major order to every thread
-    that calls :meth:`run`."""
+    that calls :meth:`run`.
 
-    def __init__(self, qh, kt, vh, out_h, weights, colsum, rows: int):
+    Every array a unit or a flush of the partials writes is allocated here,
+    by the calling thread, before any unit runs: one tile and one row vector
+    per thread, the partial slots and the flush's two sums. A unit allocates
+    no array; the buffers numpy takes for a broadcast step are freed within
+    that step, in the thread's own malloc arena. So the heap the call leaves
+    behind does not depend on how the units fell to the two threads."""
+
+    def __init__(self, qh, kt, vh, out_h, weights, colsum, rows: int, workers: int = 1):
         *lead, self.heads, self.n, _ = qh.shape
+        m = kt.shape[-1]
+        dtype = out_h.dtype
         self.qh, self.kt, self.vh, self.out_h = qh, kt, vh, out_h
         self.weights, self.colsum, self.rows = weights, colsum, rows
         self.count = self.heads * -(-self.n // rows)
-        self.tile_shape = (*lead, rows, kt.shape[-1])
-        self.partials_shape = (*lead, self.heads, 1, kt.shape[-1])
-        self.lock = threading.Lock()
+        tile_shape = (*lead, rows, m)
+        self.column_max = m >= 2 and math.prod(tile_shape) >= ATTENTION_COLUMN_MAX_ROWS * m * m
+        self.scratch = [(np.empty(tile_shape, dtype=dtype), np.empty((*lead, rows, 1), dtype=dtype))
+                        for _ in range(workers)]
+        self.partials_shape = (*lead, self.heads, 1, m)
+        self.lock = threading.Condition()
+        self.runners = 0  # threads that called run(), each with its scratch
         self.next = 0
         self.flushed = 0  # tiles whose partials are in colsum
         self.pending = {}  # tile -> [partials [..., heads, 1, M], heads still running]
+        if workers > 1:
+            slots = max(1, min(ATTENTION_PARTIAL_SLOTS, self.count // self.heads))
+            self.free = list(np.empty((slots, *self.partials_shape), dtype=dtype))
+            self.sum32 = np.empty(colsum.shape, dtype=dtype)
+            self.sum64 = np.empty(colsum.shape, dtype=colsum.dtype)
 
     def close(self) -> None:
-        """Hand out no further unit."""
+        """Hand out no further unit, and wake a thread waiting for a slot."""
         with self.lock:
             self.next = self.count
-
-    def _buffers(self):
-        """One thread's tile and, when the tile takes the column max, its
-        row-max vector."""
-        tile = np.empty(self.tile_shape, dtype=self.out_h.dtype)
-        m = self.tile_shape[-1]
-        if m < 2 or tile.size < ATTENTION_COLUMN_MAX_ROWS * m * m:
-            return tile, None
-        return tile, np.empty(self.tile_shape[:-1], dtype=tile.dtype)
+            self.lock.notify_all()
 
     def _unit(self, t: int, h: int, buffers, partial) -> None:
-        """Tile ``t`` of head ``h``: its rows of ``out`` and of the weights,
-        and its key-score partial into ``partial`` [..., 1, M]."""
+        """Tile ``t`` of head ``h`` in one thread's ``buffers``: its rows of
+        ``out`` and of the weights, and its key-score partial into
+        ``partial`` [..., 1, M]."""
         rows, weights = self.rows, self.weights
         lo = t * rows
         hi = min(self.n, lo + rows)
         tile = buffers[0][..., : hi - lo, :]
+        row = buffers[1][..., : hi - lo, :]
         np.matmul(self.qh[..., h, lo:hi, :], self.kt[..., h, :, :], out=tile)
-        if buffers[1] is None:
-            tile -= tile.max(axis=-1, keepdims=True)
+        if self.column_max:
+            _column_max(tile, row[..., 0])
         else:
-            tile -= _column_max(tile, buffers[1][..., : hi - lo])[..., None]
+            np.max(tile, axis=-1, keepdims=True, out=row)
+        tile -= row
         np.exp(tile, out=tile)
-        inv = 1.0 / tile.sum(axis=-1, keepdims=True)
+        inv = np.divide(1.0, np.sum(tile, axis=-1, keepdims=True, out=row), out=row)
         np.matmul(inv.swapaxes(-1, -2), tile, out=partial)
         rows_out = self.out_h[..., h, lo:hi, :]
         np.matmul(tile, self.vh[..., h, :, :], out=rows_out)
@@ -287,7 +328,7 @@ class _AttentionUnits:
         their partials, without its lock or its pending tiles. One head's
         partial is added as it is: the sum over its one-element axes would
         add it to +0, which changes no partial of non-negative weights."""
-        buffers = self._buffers()
+        buffers = self.scratch[0]
         partials = np.empty(self.partials_shape, dtype=self.out_h.dtype)
         for t in range(self.count // self.heads):
             for h in range(self.heads):
@@ -297,28 +338,48 @@ class _AttentionUnits:
             else:
                 self.colsum += partials.sum(axis=(-3, -2))
 
+    def _flush(self, partials) -> None:
+        """Add a finished tile's partials to ``colsum``, in the bytes of
+        ``colsum += partials.sum(axis=(-3, -2))``, through the two sums
+        allocated for it: widening float32 to float64 is exact."""
+        np.sum(partials, axis=(-3, -2), out=self.sum32)
+        self.sum64[...] = self.sum32
+        self.colsum += self.sum64
+        self.free.append(partials)
+
     def run(self) -> None:
+        """Take units in order until none is left. A tile's first unit waits
+        for a free partial slot; every slot is held only while the other
+        thread runs a unit, whose end flushes at least one tile. On an
+        error the call hands out no further unit, so the other thread never
+        waits on a tile this one left unfinished."""
         lock, pending, heads = self.lock, self.pending, self.heads
-        buffers = None  # this thread's one-head tile
-        while True:
-            with lock:
-                unit = self.next
-                if unit >= self.count:
-                    return
-                self.next = unit + 1
-                t, h = divmod(unit, heads)
-                if not h:
-                    pending[t] = [np.empty(self.partials_shape, dtype=self.out_h.dtype), heads]
-                entry = pending[t]
-            if buffers is None:
-                buffers = self._buffers()
-            self._unit(t, h, buffers, entry[0][..., h, :, :])
-            with lock:
-                entry[1] -= 1
-                # Tile order: flush every finished tile no earlier one waits on.
-                while self.flushed in pending and not pending[self.flushed][1]:
-                    self.colsum += pending.pop(self.flushed)[0].sum(axis=(-3, -2))
-                    self.flushed += 1
+        with lock:
+            buffers = self.scratch[self.runners]
+            self.runners += 1
+        try:
+            while True:
+                with lock:
+                    while self.next < self.count and not self.next % heads and not self.free:
+                        lock.wait()
+                    unit = self.next
+                    if unit >= self.count:
+                        return
+                    self.next = unit + 1
+                    t, h = divmod(unit, heads)
+                    if not h:
+                        pending[t] = [self.free.pop(), heads]
+                    entry = pending[t]
+                self._unit(t, h, buffers, entry[0][..., h, :, :])
+                with lock:
+                    entry[1] -= 1
+                    # Tile order: flush every finished tile no earlier one waits on.
+                    while self.flushed in pending and not pending[self.flushed][1]:
+                        self._flush(pending.pop(self.flushed)[0])
+                        self.flushed += 1
+                        lock.notify_all()
+        finally:
+            self.close()
 
 
 def _require_map(name: str, x: np.ndarray) -> None:
@@ -501,6 +562,55 @@ def _spread(p: np.ndarray, pshape: tuple, sample: tuple) -> np.ndarray:
     return out
 
 
+def _check_norm_state(channels: int, gamma, beta, running_mean, running_var) -> None:
+    """Every array of a normalization site is ``[channels]``, and its running
+    variance holds no negative or NaN entry."""
+    if not gamma.shape == beta.shape == running_mean.shape == running_var.shape == (channels,):
+        for name, arr in (("gamma", gamma), ("beta", beta),
+                          ("running_mean", running_mean), ("running_var", running_var)):
+            if arr.shape != (channels,):
+                raise DimensionError(
+                    f"batch_norm {name} has shape {arr.shape}, expected ({channels},)")
+    if not np.minimum.reduce(running_var, initial=np.inf) >= 0:
+        raise StateCorruptionError("negative or NaN running variance")
+
+
+def fold_batch_norm(gamma, beta, running_mean, running_var,
+                    channels: int) -> tuple[np.ndarray, np.ndarray]:
+    """The infer-mode normalization as a per-channel affine ``(scale, shift)``:
+    ``gamma * (x - mean) / sqrt(var + BN_EPS) + beta == x * scale + shift``.
+
+    :func:`channel_affine` applies it to the output of the linear map
+    before the site. The state is checked as :func:`_batch_norm` checks it,
+    on every fold.
+    """
+    _check_norm_state(channels, gamma, beta, running_mean, running_var)
+    scale = gamma / np.sqrt(running_var + BN_EPS)
+    return scale, beta - running_mean * scale
+
+
+def channel_affine(x: np.ndarray, scale: np.ndarray, shift: np.ndarray | None,
+                   channel_axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """``x * scale + shift`` with a per-channel ``scale`` and ``shift`` (or
+    none) along ``channel_axis``: an infer-mode normalization site as
+    :func:`fold_batch_norm` gives it, in two passes where
+    :func:`_batch_norm` takes four. On a stack (:func:`_sample_shape`) each
+    operand is first written out over one sample, so that each step runs one
+    loop per sample rather than one per channel row; each element meets the
+    same values either way."""
+    channel_axis %= x.ndim
+    pshape = scale.shape + (1,) * (x.ndim - channel_axis - 1)
+    sample = _sample_shape(x, channel_axis)
+
+    def spread(p):
+        return p.reshape(pshape) if sample is None else _spread(p, pshape, sample)
+
+    y = np.multiply(x, spread(scale), out=out)
+    if shift is not None:
+        y += spread(shift)
+    return _checked(y)
+
+
 def _batch_norm(x, gamma, beta, running_mean, running_var, mode, channel_axis, eps, momentum,
                 keep_xhat: bool, in_place: bool):
     """Per-channel normalization followed by a learned affine:
@@ -528,13 +638,7 @@ def _batch_norm(x, gamma, beta, running_mean, running_var, mode, channel_axis, e
         raise ValueError(f"batch_norm mode must be 'train' or 'infer', got {mode!r}")
     channel_axis %= x.ndim
     channels = x.shape[channel_axis]
-    for name, arr in (("gamma", gamma), ("beta", beta),
-                      ("running_mean", running_mean), ("running_var", running_var)):
-        if arr.shape != (channels,):
-            raise DimensionError(
-                f"batch_norm {name} has shape {arr.shape}, expected ({channels},)")
-    if not np.minimum.reduce(running_var, initial=np.inf) >= 0:
-        raise StateCorruptionError("negative or NaN running variance")
+    _check_norm_state(channels, gamma, beta, running_mean, running_var)
     pshape = (1,) * channel_axis + (channels,) + (1,) * (x.ndim - channel_axis - 1)
     sample = _sample_shape(x, channel_axis)
     if mode == "train":

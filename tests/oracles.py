@@ -322,11 +322,12 @@ def attention_tile_steps(q, k, v, heads):
 # --- composed references -----------------------------------------------------
 
 
-def psa_reference(x_map, u_map, p, cfg):
+def psa_reference(x_map, u_map, p, cfg, record=None):
     """Straight-line inference-mode rebuild of the attention block.
 
     Mirrors the published wiring using only the primitives above. Works in
-    float64 regardless of the parameter dtype.
+    float64 regardless of the parameter dtype. ``record``, when given, is a
+    dict that receives the key scores and the chosen coarse cells.
     """
     d = cfg.token_dim
     _, h, w = x_map.shape
@@ -344,8 +345,12 @@ def psa_reference(x_map, u_map, p, cfg):
     scores = key_scores_loops(weights)
 
     out_fine = None
+    if record is not None:
+        record.update(key_scores=scores, coarse_indices=[])
     if cfg.fine_enabled and cfg.k > 0:
         chosen = topk_reference(scores, cfg.k, cfg.score_threshold)
+        if record is not None:
+            record["coarse_indices"] = chosen
         fine_idx = [fi for ci in chosen for fi in expand_2x2(ci, wc)]
         if fine_idx:
             k_sel = (xt @ wk.T)[fine_idx]
@@ -379,8 +384,9 @@ def psa_reference(x_map, u_map, p, cfg):
     return tokens_grid(fused, h, w)
 
 
-def pst_reference(x_raw, u_raw, p, cfg):
-    """Straight-line inference-mode rebuild of the whole fusion block."""
+def pst_reference(x_raw, u_raw, p, cfg, record=None):
+    """Straight-line inference-mode rebuild of the whole fusion block;
+    ``record`` as in :func:`psa_reference`."""
     x_raw = np.asarray(x_raw, dtype=np.float64)
     u_raw = np.asarray(u_raw, dtype=np.float64)
 
@@ -393,7 +399,7 @@ def pst_reference(x_raw, u_raw, p, cfg):
 
     x = bn_map(conv1x1_pixels(x_raw, np.asarray(p.in_conv_x, dtype=np.float64)), p.bn_x)
     u = bn_map(conv1x1_pixels(u_raw, np.asarray(p.in_conv_u, dtype=np.float64)), p.bn_u)
-    fused = psa_reference(x, u, p.psa, cfg.psa)
+    fused = psa_reference(x, u, p.psa, cfg.psa, record)
     hidden = conv1x1_pixels(fused, np.asarray(p.mlp_expand, dtype=np.float64))
     hidden = hidden * sigmoid_direct(hidden)
     fused = fused + conv1x1_pixels(hidden, np.asarray(p.mlp_project, dtype=np.float64))

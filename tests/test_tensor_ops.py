@@ -199,6 +199,44 @@ class TestConv1x1:
             ops.conv1x1(np.zeros((3, 2, 2)), np.zeros((4, 2)))
 
 
+class TestFoldBatchNorm:
+    def test_folded_affine_matches_the_infer_formula(self):
+        rng = np.random.default_rng(12)
+        gamma, beta, mean = rng.standard_normal((3, 5))
+        var = np.exp(rng.standard_normal(5))
+        x = rng.standard_normal((5, 4, 4))
+        scale, shift = ops.fold_batch_norm(gamma, beta, mean, var, 5)
+        want = oracles.batch_norm_infer_direct(x, gamma, beta, mean, var)
+        assert np.allclose(x * scale[:, None, None] + shift[:, None, None], want,
+                           rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("shape, channel_axis", [
+        ((5, 4, 4), 0), ((1, 5, 4, 4), 1), ((3, 5, 4, 4), 1), ((2, 2, 5, 3, 3), 2),
+        ((8, 5), 1), ((3, 8, 5), 2)])
+    def test_channel_affine_bytes_are_the_broadcast_formula(self, shape, channel_axis):
+        """On a map, a token matrix or a stack of either, in place or not:
+        each element is ``x * scale + shift`` of its channel."""
+        rng = np.random.default_rng([13, *shape])
+        x = rng.standard_normal(shape).astype(np.float32)
+        scale, shift = rng.standard_normal((2, shape[channel_axis])).astype(np.float32)
+        pshape = (-1,) + (1,) * (len(shape) - channel_axis - 1)
+        want = x * scale.reshape(pshape) + shift.reshape(pshape)
+        assert ops.channel_affine(x, scale, shift, channel_axis).tobytes() == want.tobytes()
+        assert ops.channel_affine(x, scale, None, channel_axis).tobytes() == \
+            (x * scale.reshape(pshape)).tobytes()
+        ops.channel_affine(x, scale, shift, channel_axis, out=x)
+        assert x.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [-0.5, np.nan])
+    def test_corrupt_running_variance(self, bad):
+        with pytest.raises(StateCorruptionError):
+            ops.fold_batch_norm(np.ones(2), np.zeros(2), np.zeros(2), np.array([1.0, bad]), 2)
+
+    def test_shape_check(self):
+        with pytest.raises(DimensionError, match="beta"):
+            ops.fold_batch_norm(np.ones(3), np.zeros(2), np.zeros(3), np.ones(3), 3)
+
+
 class TestDepthwiseConv7x7:
     @staticmethod
     def delta(c):

@@ -9,6 +9,7 @@ import os
 import sys
 import threading
 import time
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -69,16 +70,21 @@ def _assert_same_bytes(got, want):
 @given(seed=st.integers(0, 2**16), lead=st.sampled_from([(), (1,), (3,)]),
        n=st.integers(1, 40), m=st.integers(1, 40), heads=st.integers(1, 4),
        d_head=st.integers(1, 4), tile=st.sampled_from([1, 7, 64, 500, ops.ATTENTION_TILE_LOGITS]),
-       dtype=st.sampled_from([np.float32, np.float64]))
-@example(seed=0, lead=(), n=10, m=3, heads=2, d_head=2, tile=18, dtype=np.float32)  # rows 3
-@example(seed=1, lead=(2,), n=9, m=40, heads=4, d_head=1, tile=7, dtype=np.float64)  # rows 1
+       dtype=st.sampled_from([np.float32, np.float64]),
+       slots=st.sampled_from([1, 2, ops.ATTENTION_PARTIAL_SLOTS]))
+@example(seed=0, lead=(), n=10, m=3, heads=2, d_head=2, tile=18, dtype=np.float32,
+         slots=ops.ATTENTION_PARTIAL_SLOTS)  # rows 3
+@example(seed=1, lead=(2,), n=9, m=40, heads=4, d_head=1, tile=7, dtype=np.float64,
+         slots=1)  # rows 1
 def test_units_shared_between_threads_give_the_same_bytes(seed, lead, n, m, heads, d_head,
-                                                          tile, dtype):
+                                                          tile, dtype, slots):
     """``out``, the key scores and the weights inside the scope, on two
     threads, equal those outside it, on one, byte for byte; with N not a
-    multiple of the tile rows, and M past one tile (one row per tile)."""
+    multiple of the tile rows, M past one tile (one row per tile), and
+    threads that wait for a partial slot (one or two of them)."""
     q, k, v = _attention_inputs(seed, lead, n, m, heads, d_head, dtype)
-    with mock.patch.object(ops, "ATTENTION_TILE_LOGITS", tile):
+    with mock.patch.object(ops, "ATTENTION_TILE_LOGITS", tile), \
+            mock.patch.object(ops, "ATTENTION_PARTIAL_SLOTS", slots):
         want = _core(q, k, v, heads)
         with shared_units():
             got = _core(q, k, v, heads)
@@ -100,10 +106,10 @@ def test_keys_past_one_tile_at_the_real_tile_size():
 @needs_control
 def test_key_scores_add_tiles_in_order():
     """The first unit is held back until the other thread has run every
-    later tile. Tile 0 gives key 0 a weight of 1/2 and each later tile one
-    of about 4e-18, below half a float64 ulp of 1/2; their partials must
-    still be added after tile 0's, one at a time, where added first they sum
-    past that half ulp."""
+    later tile, with a partial slot for each. Tile 0 gives key 0 a weight of
+    1/2 and each later tile one of about 4e-18, below half a float64 ulp of
+    1/2; their partials must still be added after tile 0's, one at a time,
+    where added first they sum past that half ulp."""
     q = np.full((40, 1), 40.0, dtype=np.float32)
     q[0] = 0.0
     k = np.array([[0.0], [1.0]], dtype=np.float32)
@@ -115,12 +121,125 @@ def test_key_scores_add_tiles_in_order():
             time.sleep(0.2)
         return real_exp(x, out=out)
 
-    with mock.patch.object(ops, "ATTENTION_TILE_LOGITS", 2):  # one row per tile
+    with mock.patch.object(ops, "ATTENTION_TILE_LOGITS", 2), \
+            mock.patch.object(ops, "ATTENTION_PARTIAL_SLOTS", 40):  # one row per tile
         want = _core(q, k, k, 1)
         with shared_units(), mock.patch.object(np, "exp", exp):
             got = _core(q, k, k, 1)
     assert held
     _assert_same_bytes(got, want)
+
+
+@needs_control
+def test_a_thread_four_tiles_ahead_waits_for_a_partial_slot():
+    """With the first unit held back, the other thread starts no more tiles
+    than there are partial slots until that unit is done; the bytes equal
+    the one-thread call's."""
+    q, k, v = _attention_inputs(8, (), 40, 2, 1, 2, np.float32)
+    caller = threading.current_thread()
+    real_exp, started = np.exp, []
+
+    def exp(x, out=None):
+        started.append(threading.current_thread())
+        if len(started) == 1:
+            time.sleep(0.2)
+            # Only the slots the held tile left free were taken meanwhile.
+            assert len(started) == ops.ATTENTION_PARTIAL_SLOTS
+        return real_exp(x, out=out)
+
+    with mock.patch.object(ops, "ATTENTION_TILE_LOGITS", 2):  # one row per tile
+        want = _core(q, k, v, 1)
+        with shared_units(), mock.patch.object(np, "exp", exp):
+            got = _core(q, k, v, 1)
+    assert len(started) == 40 and caller in started
+    _assert_same_bytes(got, want)
+
+
+@needs_control
+def test_the_calling_thread_allocates_every_buffer_of_a_shared_call():
+    """The tiles, row vectors, partial slots and flush sums of a shared call
+    are allocated by the calling thread before it hands out a unit, so the
+    heap does not depend on how the units fell to the two threads: both
+    threads run units, and every ``np.empty`` runs on the caller."""
+    q, k, v = _attention_inputs(7, (), 64, 16, 2, 2, np.float32)
+    caller = threading.current_thread()
+    empties, units = [], []
+    real_empty, real_exp = np.empty, np.exp
+
+    def empty(*args, **kwargs):
+        empties.append(threading.current_thread())
+        return real_empty(*args, **kwargs)
+
+    def exp(x, out=None):
+        units.append(threading.current_thread())
+        time.sleep(0.002)  # long enough a unit that the worker takes some
+        return real_exp(x, out=out)
+
+    with mock.patch.object(ops, "ATTENTION_TILE_LOGITS", 64):  # 32 tiles of 2 rows
+        want = _core(q, k, v, 2)
+        with shared_units(), mock.patch.object(np, "empty", empty), \
+                mock.patch.object(np, "exp", exp):
+            got = _core(q, k, v, 2)
+    assert caller in units and any(t is not caller for t in units)
+    assert empties and all(t is caller for t in empties)
+    _assert_same_bytes(got, want)
+
+
+@needs_control
+def test_every_array_of_a_shared_call_is_freed_on_the_calling_thread():
+    """Both threads run units, and the caller frees both tiles and the
+    units with every array they hold: the worker drops no last reference,
+    so the caller's heap does not depend on when the worker returns."""
+    q, k, v = _attention_inputs(9, (), 64, 16, 2, 2, np.float32)
+    caller = threading.current_thread()
+    ran, freed = set(), []
+    real_exp, real_init = np.exp, ops._AttentionUnits.__init__
+
+    def exp(x, out=None):
+        ran.add(threading.current_thread())
+        time.sleep(0.002)
+        return real_exp(x, out=out)
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        for obj in (self, *(tile for tile, _ in self.scratch)):
+            weakref.finalize(obj, lambda: freed.append(threading.current_thread()))
+
+    with mock.patch.object(ops, "ATTENTION_TILE_LOGITS", 64), shared_units(), \
+            mock.patch.object(np, "exp", exp), \
+            mock.patch.object(ops._AttentionUnits, "__init__", init):
+        _core(q, k, v, 2)
+    assert len(ran) == 2
+    assert freed == [caller] * 3
+
+
+def _advice() -> bool:
+    """numpy's huge-page advice now, read through its switch."""
+    switch = threads.page_advice()
+    was = switch(True)
+    switch(was)
+    return was
+
+
+needs_advice = pytest.mark.skipif(threads.page_advice() is None,
+                                  reason="this numpy has no huge-page switch")
+
+
+@needs_advice
+@pytest.mark.parametrize("initial", [True, False])
+def test_small_pages_nest_and_restore_at_the_outermost_exit(initial):
+    switch = threads.page_advice()
+    saved = switch(initial)
+    try:
+        with threads.small_pages():
+            assert not _advice()
+            with pytest.raises(RuntimeError):
+                with threads.small_pages():
+                    raise RuntimeError("inner")
+            assert not _advice()
+        assert _advice() == initial
+    finally:
+        switch(saved)
 
 
 def test_attention_units():
@@ -253,6 +372,22 @@ def test_count_restored_after_a_block_call(blas_threads, small_tiles, monkeypatc
     pst_block.pst_forward(*_small_block())
     assert seen and set(seen) == {1}  # the coarse and the fine stage ran on one BLAS thread
     assert CONTROL.get() == count
+
+
+@needs_advice
+def test_shared_block_runs_without_huge_page_advice(small_tiles, monkeypatch):
+    seen = []
+    core = ops.attention
+
+    def recording(*args, **kwargs):
+        seen.append(_advice())
+        return core(*args, **kwargs)
+
+    monkeypatch.setattr(ops, "attention", recording)
+    before = _advice()
+    pst_block.pst_forward(*_small_block())
+    assert seen and not any(seen)
+    assert _advice() == before
 
 
 @needs_control
