@@ -57,7 +57,6 @@ from .psa import (
     PsaParams,
     TopKSelection,
     attention,
-    coarse_attention,
     dense_cross_attention,
     fine_attention,
     psa_forward,
@@ -70,7 +69,6 @@ from .pst_block import (
     PstConfig,
     PstParams,
     closed_form_param_count,
-    ledger_matches_params,
     param_count,
     pst_forward,
     scale_config,

@@ -24,9 +24,10 @@ second thread and numpy advises no huge pages; see :mod:`pst.threads`.
 
 One batch-first function runs the block: :func:`psa_forward` takes one
 ``[..., d, H, W]`` stack per input, and a bare ``[d, H, W]`` map is the
-no-batch case. Projections, attention, the positional term and both
-normalizations run once over the stack; only the top-k selection and the
-fine stage, which are inference only, run per sample.
+no-batch case. Every stage runs once over the stack: projections, the
+coarse attention, top-k selection over the [..., M] key scores, the fine
+stage (one gather and one attention call per number of cells kept, see
+:func:`fine_attention`), the positional term and both normalizations.
 
 The fine stage is an inference-time refinement: training runs with it
 disabled, and enabling it afterwards changes no parameter bytes. Non-finite
@@ -154,25 +155,31 @@ class TopKSelection:
     """Result of key scoring: chosen coarse cells and their fine children.
 
     ``fine_indices`` holds four fine-grid tokens per coarse index, ordered
-    by coarse rank and then row-major inside each 2x2 patch.
+    by coarse rank and then row-major inside each 2x2 patch. Over [..., M]
+    scores the fields are [..., c], [..., c] and [..., 4c] for the largest
+    count ``c`` any sample keeps; a sample that keeps fewer is padded with
+    index -1, score 0 and fine index -1. One score vector has no padding.
     """
 
     coarse_indices: np.ndarray
     scores: np.ndarray
     fine_indices: np.ndarray
 
+    def sample(self, idx: tuple) -> "TopKSelection":
+        """The unpadded selection of the sample at ``idx``."""
+        c = int(np.count_nonzero(self.coarse_indices[idx] >= 0))
+        return TopKSelection(self.coarse_indices[idx][:c], self.scores[idx][:c],
+                             self.fine_indices[idx][:4 * c])
+
 
 # --- interaction accounting --------------------------------------------------
 
 
+@dataclass
 class InteractionTally:
     """Counts query-key scored pairs inside attention stages."""
 
-    def __init__(self):
-        self.total = 0
-
-    def add(self, n: int) -> None:
-        self.total += int(n)
+    total: int = 0
 
 
 _tallies: list[InteractionTally] = []
@@ -187,12 +194,6 @@ def track_interactions():
         yield tally
     finally:
         _tallies.remove(tally)
-
-
-def _note_interactions(n: int) -> None:
-    # ``n`` counts query-key pairs over every sample of a stack.
-    for tally in _tallies:
-        tally.add(n)
 
 
 # --- normalization helpers ----------------------------------------------------
@@ -271,40 +272,35 @@ def attention(q, keys, vals, heads: int, weights: Optional[np.ndarray] = None):
     interaction regardless of head count, so a stack of B samples counts
     B*N*M.
     """
-    qv = _val(q)
-    _note_interactions(math.prod(qv.shape[:-1]) * _val(keys).shape[-2])
+    for tally in _tallies:
+        tally.total += math.prod(_val(q).shape[:-1]) * _val(keys).shape[-2]
     return ad.attention(q, keys, vals, heads, weights)
-
-
-def coarse_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int):
-    """Dense cross-attention stage. Returns the output and the post-softmax
-    weights with shape [heads, N, M]."""
-    weights = ops.attention_weights_buffer(q, k, heads)
-    out, _ = attention(q, k, v, heads, weights)
-    return out, weights
 
 
 def select_fine_indices(scores: np.ndarray, cfg: PsaConfig,
                         coarse_dims: tuple[int, int]) -> TopKSelection:
-    """Top-k coarse cells by score, expanded to their 2x2 fine children.
+    """Top-k coarse cells by score, expanded to their 2x2 fine children,
+    for each sample of a [..., M] score stack (see :class:`TopKSelection`).
 
     A coarse cell ``(i, j)`` on an ``hc x wc`` grid owns fine tokens
     ``(2i+di, 2j+dj)`` on the ``2hc x 2wc`` grid, flattened row-major.
     """
     hc, wc = coarse_dims
-    if scores.shape != (hc * wc,):
-        raise DimensionError(f"{scores.shape[0]} scores do not cover a {hc}x{wc} grid")
+    if scores.shape[-1:] != (hc * wc,):
+        raise DimensionError(f"scores of shape {scores.shape} do not cover a {hc}x{wc} grid")
     chosen = ops.topk_indices(scores, cfg.k, cfg.score_threshold)
     wf = 2 * wc
-    i, j = np.divmod(chosen, wc)
-    children = np.array([0, 1, wf, wf + 1], dtype=np.int64)
-    fine = ((2 * i * wf + 2 * j)[:, None] + children).reshape(-1)
-    return TopKSelection(coarse_indices=chosen, scores=np.asarray(scores)[chosen], fine_indices=fine)
-
-
-def _gather_fine_tokens(x_tokens, selection: TopKSelection):
-    """The [4k, d] fine tokens of a sample's selection, in its order."""
-    return ad.gather_rows(x_tokens, selection.fine_indices)
+    # Cell c = i * wc + j has its top-left child at 2i * wf + 2j.
+    fine = (2 * chosen + chosen // wc * wf)[..., None] + np.array([0, 1, wf, wf + 1])
+    if chosen.ndim == 1:  # one score vector: no padding
+        picked = scores[chosen]
+    else:
+        picked = np.take_along_axis(scores, chosen, axis=-1)
+        padded = chosen < 0
+        fine[padded] = -1
+        picked[padded] = 0
+    return TopKSelection(coarse_indices=chosen, scores=picked,
+                         fine_indices=fine.reshape(*chosen.shape[:-1], -1))
 
 
 def _fine_attention(q, x_sel, wk, wv, heads: int):
@@ -313,16 +309,40 @@ def _fine_attention(q, x_sel, wk, wv, heads: int):
 
 
 def fine_attention(q, x_tokens, p: PsaParams, selection: TopKSelection, heads: int):
-    """Sparse attention of one sample over its selected fine tokens.
-
-    ``q`` is [N, d] and ``x_tokens`` the sample's [N, d] fine tokens. Keys
-    and values reuse the coarse-stage projections ``wk``/``wv``; an empty
-    selection yields an all-zero output.
+    """Sparse attention of each sample of [..., N, d] stacks over the fine
+    tokens of its :func:`select_fine_indices`, with the coarse stage's
+    ``wk``/``wv``. Samples are grouped by the number of cells they keep;
+    each group is one gather over the stack's [B*N, d] rows and one
+    attention call. Returns the [..., N, d] fine branch: that call's output
+    when one group spans the stack, else zero where a sample keeps no cell.
+    Fine tokens passed as a temporary are freed once gathered.
     """
-    if selection.fine_indices.size == 0:
-        n, dim = _val(q).shape
-        return np.zeros((n, dim), dtype=_val(q).dtype)
-    return _fine_attention(q, _gather_fine_tokens(x_tokens, selection), p.wk, p.wv, heads)
+    *lead, n, d = x_tokens.shape
+    picks = selection.fine_indices.reshape(math.prod(lead), -1)
+    counts = [selection.coarse_indices.size]  # one score vector has no padding
+    if lead:
+        # A stack's kept indices are checked against each sample's own N,
+        # then offset to its rows of the flattened stack, past which the
+        # gather checks only B*N.
+        counts = (selection.coarse_indices >= 0).sum(-1).reshape(-1)
+        ops.check_row_indices(picks[np.arange(picks.shape[1]) < 4 * counts[:, None]], n)
+        picks = picks + np.arange(0, counts.size * n, n)[:, None]
+        counts = counts.tolist()
+    rows_of = x_tokens.reshape(-1, d)
+    kept = set(counts)
+    groups = []
+    for c in sorted(kept - {0}):
+        rows = ... if len(kept) == 1 else np.flatnonzero(np.equal(counts, c))
+        x_sel = ad.gather_rows(rows_of, picks[rows, :4 * c])
+        groups.append((rows, x_sel.reshape(*(lead if rows is ... else [rows.size]), -1, d)))
+    del x_tokens, rows_of
+    if groups and groups[0][0] is ...:
+        return _fine_attention(q, groups[0][1], p.wk, p.wv, heads)
+    out = np.zeros(_val(q).shape, dtype=_val(q).dtype)
+    for rows, x_sel in groups:
+        out.reshape(-1, n, d)[rows] = _fine_attention(
+            q.reshape(-1, n, d)[rows], x_sel, p.wk, p.wv, heads)
+    return out
 
 
 def dense_cross_attention(q: np.ndarray, keys: np.ndarray, vals: np.ndarray, heads: int) -> np.ndarray:
@@ -388,24 +408,23 @@ def _samples(lead: tuple, diagnostics: Optional[dict | list]) -> list:
     return list(diagnostics)
 
 
-def _psa_tail(tokens: list, shared_wk, shared_wv, p: PsaParams, cfg: PsaConfig,
+def _psa_tail(tokens: list, kv: PsaParams, p: PsaParams, cfg: PsaConfig,
               fine_dims: tuple[int, int], bn_mode: str, stat_sink, diagnostics: list):
     """Everything after the projections, over a [..., N, d] token stack.
 
     ``tokens`` holds the queries, keys, values and fine tokens ``[q, k, v,
     x_tokens]``; the list is emptied, so that each of them its caller does
-    not hold is freed after its last use. The coarse stage, the positional
-    term, the fusion and both normalization sites run once over the stack;
-    the normalizations gather statistics across all of it. Top-k selection
-    and the fine stage run per sample. Returns the [..., N, d] fine-grid
-    tokens.
+    not hold is freed after its last use. The fine stage projects with
+    ``kv.wk`` and ``kv.wv``. Every stage runs once over the stack, and the
+    normalizations gather statistics across all of it. Returns the
+    [..., N, d] fine-grid tokens.
 
     Untaped, the fusion works in the buffers this function allocates: the
     fine branch and the positional term are added into the coarse output,
     and both normalizations, folded or not, overwrite their inputs.
     """
-    q, k, v, x_tokens = tokens
-    tokens.clear()
+    q, k, v = tokens[:3]
+    del tokens[:3]
     h, w = fine_dims
     coarse_dims = (h // 2, w // 2)
     want_fine = cfg.fine_enabled and cfg.k > 0
@@ -419,27 +438,26 @@ def _psa_tail(tokens: list, shared_wk, shared_wv, p: PsaParams, cfg: PsaConfig,
     out_coarse, scores = attention(q, k, v, cfg.heads, weights)
     del k
     gating = cfg.fusion_mode == "self_gating"
-    branch_fine = np.zeros_like(_val(out_coarse)) if gating else None
-    # Each sample's selected fine tokens, gathered before the first fine
-    # attention so that the fine-token stack can go first.
-    fine_tokens = []
-    if want_fine or inspect:
+    selection = select_fine_indices(scores, cfg, coarse_dims) if want_fine or inspect else None
+    if inspect:
         for idx, diag in zip(np.ndindex(*scores.shape[:-1]), diagnostics):
-            selection = select_fine_indices(scores[idx], cfg, coarse_dims)
             if diag is not None:
-                diag.update(attention=weights[idx], key_scores=scores[idx], selection=selection)
-            if want_fine and selection.fine_indices.size:
-                fine_tokens.append((idx, _gather_fine_tokens(x_tokens[idx], selection)))
-    del x_tokens
-    # Fine attention runs only untaped, on plain arrays; a sample with
-    # nothing selected keeps its coarse output as it is.
-    for idx, x_sel in fine_tokens:
-        out_fine = _fine_attention(q[idx], x_sel, shared_wk, shared_wv, cfg.heads)
-        if gating:
-            branch_fine[idx] = out_fine
-        else:
-            out_coarse[idx] += out_fine
-    del q, fine_tokens
+                diag.update(attention=weights[idx], key_scores=scores[idx],
+                            selection=selection.sample(idx))
+    # The fine tokens go to fine_attention as a temporary, freed once it
+    # has gathered the selected ones. It runs only if some sample keeps a
+    # cell; otherwise every sample keeps its coarse output as it is.
+    if want_fine and selection.coarse_indices.size:
+        branch_fine = fine_attention(q, tokens.pop(), kv, selection, cfg.heads)
+        if not gating:
+            # The summed branch lives to the end of the tail: freed here, its
+            # buffer goes to the smaller maps that follow, and a process
+            # running 16,384-token blocks peaks about 6 MB higher in memory.
+            out_coarse += branch_fine
+    elif gating:
+        branch_fine = np.zeros_like(_val(out_coarse))
+    tokens.clear()
+    del q
 
     if gating:
         gate = self_gate(out_coarse, branch_fine, p, cfg)
@@ -515,7 +533,7 @@ def psa_forward(x, u, p: PsaParams, cfg: PsaConfig, *,
         del x
         tokens = [*project_qkv(x_tokens, ad.map_to_tokens(u), p), x_tokens]
         del u, x_tokens
-        return ad.tokens_to_map(_psa_tail(tokens, p.wk, p.wv, p, cfg, (h, w),
+        return ad.tokens_to_map(_psa_tail(tokens, p, p, cfg, (h, w),
                                           bn_mode, stat_sink, diagnostics), h, w)
 
 
@@ -546,7 +564,7 @@ def psa_stack_forward(x_map, u_map, params: list[PsaParams], cfg: PsaConfig, *,
     source = x_tokens
     stage_maps = []
     for p in params:
-        out = _psa_tail([_project(source, p.wq), k, v, x_tokens], first.wk, first.wv, p, cfg,
+        out = _psa_tail([_project(source, p.wq), k, v, x_tokens], first, p, cfg,
                         (h, w), bn_mode, stat_sink, [None])
         if debug_sink is not None:
             debug_sink["stage_kv"].append((k, v))

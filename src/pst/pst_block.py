@@ -31,7 +31,7 @@ import numpy as np
 from . import autodiff as ad
 from . import tensor_ops as ops
 from .errors import AccountingError, ContractError, DimensionError
-from .params import BatchNormState, kaiming, named_arrays
+from .params import BatchNormState, kaiming
 from .psa import PsaConfig, PsaParams, block_scope, conv_norm, psa_forward
 
 _SIZE_FACTORS = {"N": 1, "S": 2, "M": 4}
@@ -236,14 +236,6 @@ def param_count(cfg: PstConfig) -> ParamLedger:
         raise AccountingError(
             f"ledger total {ledger.total} disagrees with closed form {ledger.closed_form}")
     return ledger
-
-
-def ledger_matches_params(cfg: PstConfig, p: PstParams) -> bool:
-    """True when the ledger names exactly the learnable arrays of a bundle."""
-    ledger = {row.name: row.shape for row in param_count(cfg).rows}
-    actual = {name: arr.shape for name, arr in named_arrays(p, include_buffers=False).items()
-              if not name.startswith("psa.gate_")}
-    return ledger == actual
 
 
 def scale_config(size: str, base_token_dim: int, fine_channels: int,

@@ -785,34 +785,39 @@ def gather_rows(t: np.ndarray, indices) -> np.ndarray:
     if t.ndim != 2:
         raise DimensionError(f"gather_rows expects a [N, d] input, got {t.shape}")
     idx = np.asarray(indices, dtype=np.int64).reshape(-1)
-    n = t.shape[0]
-    if idx.size:
-        lo, hi = int(idx.min()), int(idx.max())
-        if lo < 0:
-            raise GatherIndexError(lo, n)
-        if hi >= n:
-            raise GatherIndexError(hi, n)
+    check_row_indices(idx, t.shape[0])
     return t[idx]
 
 
-def topk_indices(scores: np.ndarray, k: int, threshold: float) -> np.ndarray:
-    """Indices of at most ``k`` scores strictly above ``threshold``.
+def check_row_indices(idx: np.ndarray, n: int) -> None:
+    """Raise :class:`GatherIndexError` unless every index lies in [0, n)."""
+    if idx.size:
+        for bad in (int(idx.min()), int(idx.max())):
+            if not 0 <= bad < n:
+                raise GatherIndexError(bad, n)
 
-    Ordered by descending score; ties broken by ascending index. The result
-    is deterministic for identical inputs.
+
+def topk_indices(scores: np.ndarray, k: int, threshold: float) -> np.ndarray:
+    """Indices of at most ``k`` scores strictly above ``threshold`` per
+    sample of [..., M] scores, by descending score with ties to the lower
+    index (one stable sort per sample; deterministic). The result is
+    [..., c] for the largest count ``c`` any sample keeps, padded with -1,
+    so one score vector gives exactly its kept indices.
     """
     s = np.asarray(scores)
-    if s.ndim != 1:
-        raise DimensionError(f"topk_indices expects a rank-1 score vector, got {s.shape}")
+    if s.ndim < 1:
+        raise DimensionError(f"topk_indices expects [..., M] scores, got {s.shape}")
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
     if threshold < 0:
         raise ValueError(f"threshold must be non-negative, got {threshold}")
-    keep = np.flatnonzero(s > threshold)
-    if keep.size == 0 or k == 0:
-        return np.empty(0, dtype=np.int64)
-    order = np.lexsort((keep, -s[keep]))
-    return keep[order[:k]].astype(np.int64)
+    above = (s > threshold).sum(-1, keepdims=True)
+    width = min(k, int(above.max(initial=0)))
+    # Every score above the threshold ranks before every other, NaN last.
+    order = np.argsort(-s, axis=-1, kind="stable")[..., :width].astype(np.int64)
+    if s.ndim > 1:  # one row fills its ``width``; a stack's rows may not
+        order[np.arange(width) >= above] = -1
+    return order
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

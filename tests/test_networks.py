@@ -433,14 +433,22 @@ class TestLifecycle:
 
         calls = []
 
-        def every_token(x_tokens, selection):
-            # Dense: the fine stage attends to every fine token, in grid order.
-            calls.append(selection)
-            return x_tokens
+        def every_token(rows, indices):
+            # Dense: the fine stage gathers every fine token, in grid order.
+            calls.append(indices)
+            return rows
 
-        monkeypatch.setattr(psa, "_gather_fine_tokens", every_token)
+        fine_stage = psa._fine_attention
+        stages = []
+
+        def counted(*args):
+            stages.append(args)
+            return fine_stage(*args)
+
+        monkeypatch.setattr(ad, "gather_rows", every_token)
+        monkeypatch.setattr(psa, "_fine_attention", counted)
         dense = nets.cls_forward(image, p, cfg)
-        assert len(calls) == 1
+        assert len(calls) == 1 and len(stages) == 1
         assert np.allclose(sparse, dense, atol=1e-4)
 
 

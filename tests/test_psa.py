@@ -11,7 +11,7 @@ import oracles
 from pst import autodiff as ad
 from pst import psa
 from pst import tensor_ops as ops
-from pst.errors import ContractError, DimensionError
+from pst.errors import ContractError, DimensionError, GatherIndexError
 from pst.params import named_arrays
 
 
@@ -23,6 +23,14 @@ def make_pair(rng, d=8, side=8, dtype=np.float64):
 
 def make_params(cfg, seed=0, dtype=np.float64):
     return psa.PsaParams.create(cfg, np.random.default_rng(seed), dtype)
+
+
+def coarse_attention(q, k, v, heads):
+    """The attention core with a weights buffer, as the block's coarse
+    stage runs it for diagnostics: the output and the [heads, N, M] weights."""
+    weights = ops.attention_weights_buffer(q, k, heads)
+    out, _ = psa.attention(q, k, v, heads, weights)
+    return out, weights
 
 
 class TestConfig:
@@ -67,7 +75,7 @@ class TestProjectQkv:
         q, k, v = psa.project_qkv(rng.standard_normal((16, 8)), np.zeros((4, 8)), p)
         assert np.array_equal(k, np.zeros((4, 8)))
         assert np.array_equal(v, np.zeros((4, 8)))
-        _, weights = psa.coarse_attention(q, k, v, cfg.heads)
+        _, weights = coarse_attention(q, k, v, cfg.heads)
         assert np.allclose(weights, 0.25)
 
     def test_matches_transpose_formula(self):
@@ -94,14 +102,14 @@ class TestCoarseAttention:
         q = rng.standard_normal((4, 6))
         k = rng.standard_normal((1, 6))
         v = rng.standard_normal((1, 6))
-        out, weights = psa.coarse_attention(q, k, v, 2)
+        out, weights = coarse_attention(q, k, v, 2)
         assert np.allclose(out, np.broadcast_to(v, (4, 6)), atol=1e-12)
         assert np.allclose(weights, 1.0)
 
     def test_zero_queries_average_values(self):
         rng = np.random.default_rng(4)
         v = rng.standard_normal((5, 4))
-        out, _ = psa.coarse_attention(np.zeros((3, 4)), rng.standard_normal((5, 4)), v, 1)
+        out, _ = coarse_attention(np.zeros((3, 4)), rng.standard_normal((5, 4)), v, 1)
         assert np.allclose(out, np.broadcast_to(v.mean(axis=0), (3, 4)), atol=1e-12)
 
     def test_two_heads_equal_two_half_runs(self):
@@ -109,9 +117,9 @@ class TestCoarseAttention:
         q = rng.standard_normal((6, 8))
         k = rng.standard_normal((4, 8))
         v = rng.standard_normal((4, 8))
-        out2, w2 = psa.coarse_attention(q, k, v, 2)
-        left, wl = psa.coarse_attention(q[:, :4], k[:, :4], v[:, :4], 1)
-        right, wr = psa.coarse_attention(q[:, 4:], k[:, 4:], v[:, 4:], 1)
+        out2, w2 = coarse_attention(q, k, v, 2)
+        left, wl = coarse_attention(q[:, :4], k[:, :4], v[:, :4], 1)
+        right, wr = coarse_attention(q[:, 4:], k[:, 4:], v[:, 4:], 1)
         assert np.allclose(out2, np.concatenate([left, right], axis=1), atol=1e-12)
         assert np.allclose(w2, np.concatenate([wl, wr]), atol=1e-12)
 
@@ -120,24 +128,24 @@ class TestCoarseAttention:
         q = rng.standard_normal((8, 6))
         k = rng.standard_normal((4, 6))
         v = rng.standard_normal((4, 6))
-        out, weights = psa.coarse_attention(q, k, v, 3)
+        out, weights = coarse_attention(q, k, v, 3)
         ref_out, ref_w = oracles.dense_attention_heads(q, k, v, 3)
         assert np.allclose(out, ref_out, atol=1e-6)
         assert np.allclose(weights, ref_w, atol=1e-6)
 
     def test_weights_shape_and_row_sums(self):
         rng = np.random.default_rng(7)
-        _, weights = psa.coarse_attention(rng.standard_normal((8, 4)),
-                                          rng.standard_normal((3, 4)),
-                                          rng.standard_normal((3, 4)), 2)
+        _, weights = coarse_attention(rng.standard_normal((8, 4)),
+                                      rng.standard_normal((3, 4)),
+                                      rng.standard_normal((3, 4)), 2)
         assert weights.shape == (2, 8, 3)
         assert np.allclose(weights.sum(axis=2), 1.0, atol=1e-6)
 
     def test_outputs_stay_inside_value_hull(self):
         rng = np.random.default_rng(8)
         v = rng.standard_normal((5, 8))
-        out, _ = psa.coarse_attention(rng.standard_normal((12, 8)) * 3,
-                                      rng.standard_normal((5, 8)), v, 2)
+        out, _ = coarse_attention(rng.standard_normal((12, 8)) * 3,
+                                  rng.standard_normal((5, 8)), v, 2)
         eps = 1e-9
         assert np.all(out <= v.max(axis=0) + eps)
         assert np.all(out >= v.min(axis=0) - eps)
@@ -423,6 +431,26 @@ class TestFineAttention:
         assert not np.allclose(out, out2, atol=1e-3)
 
 
+    @pytest.mark.parametrize("sample,bad", [(0, 16), (1, -1)])
+    def test_stacked_index_out_of_its_sample_raises(self, sample, bad):
+        """Each sample's indices are checked against its own N, not against
+        the [B*N, d] rows the stack is gathered from."""
+        rng = np.random.default_rng(17)
+        cfg = psa.PsaConfig(token_dim=8, k=1)
+        p = make_params(cfg, seed=18)
+        scores = np.zeros((2, 4))
+        scores[:, 1] = 1.0
+        sel = psa.select_fine_indices(scores, cfg, (2, 2))
+        fine = sel.fine_indices.copy()
+        fine[sample, 3] = bad
+        bad_sel = dataclasses.replace(sel, fine_indices=fine)
+        q = rng.standard_normal((2, 16, 8))
+        x_tokens = rng.standard_normal((2, 16, 8))
+        assert psa.fine_attention(q, x_tokens, p, sel, cfg.heads).shape == (2, 16, 8)
+        with pytest.raises(GatherIndexError, match=rf"index {bad} outside valid range \[0, 16\)"):
+            psa.fine_attention(q, x_tokens, p, bad_sel, cfg.heads)
+
+
 class TestConvPositionalEncoding:
     def test_delta_kernel_upsamples_values(self):
         rng = np.random.default_rng(17)
@@ -698,6 +726,81 @@ class TestPsaBatch:
             with pytest.raises(DimensionError, match="diagnostics"):
                 psa.psa_forward(x, u, p, cfg, diagnostics=wrong)
 
+    @pytest.mark.parametrize("fusion_mode", ["sum", "self_gating"])
+    def test_ragged_stack_matches_bare_calls(self, monkeypatch, fusion_mode):
+        """A [2, 2] stack whose samples keep k cells, none, fewer than k and
+        k again: one fine-stage call per distinct nonzero count, and every
+        sample's bytes, diagnostics and interactions as in its bare call."""
+        rng = np.random.default_rng(54)
+        pairs = [make_pair(rng, dtype=np.float32) for _ in range(3)]
+        # Near-uniform key scores for the second sample, whose maximum
+        # becomes the threshold, so that it keeps no cell.
+        pairs[1] = (pairs[1][0], pairs[1][1] * np.float32(0.01))
+        probe = psa.PsaConfig(token_dim=8, heads=2, fusion_mode=fusion_mode)
+        p = make_params(probe, seed=55, dtype=np.float32)
+        scores = []
+        for x_map, u_map in pairs:
+            diag = {}
+            psa.psa_forward(x_map, u_map, p, probe, diagnostics=diag)
+            scores.append(diag["key_scores"])
+        threshold = float(scores[1].max())
+        above = [int(np.count_nonzero(s > threshold)) for s in scores]
+        if above[0] < above[2]:
+            pairs[0], pairs[2], above[0], above[2] = pairs[2], pairs[0], above[2], above[0]
+        assert 0 < above[2] < above[0]
+        pairs.append(pairs[0])
+        cfg = dataclasses.replace(probe, k=above[0], score_threshold=threshold,
+                                  fine_enabled=True)
+
+        bare, bare_diags, bare_pairs = [], [], 0
+        for x_map, u_map in pairs:
+            diag = {}
+            with psa.track_interactions() as tally:
+                bare.append(psa.psa_forward(x_map, u_map, p, cfg, diagnostics=diag))
+            bare_diags.append(diag)
+            bare_pairs += tally.total
+        assert [d["selection"].coarse_indices.size for d in bare_diags] == [
+            cfg.k, 0, above[2], cfg.k]
+
+        fine_stage = psa._fine_attention
+        stage_calls = []
+
+        def counted(*args):
+            stage_calls.append(args)
+            return fine_stage(*args)
+
+        monkeypatch.setattr(psa, "_fine_attention", counted)
+        xs = np.stack([x for x, _ in pairs]).reshape(2, 2, 8, 8, 8)
+        us = np.stack([u for _, u in pairs]).reshape(2, 2, 8, 4, 4)
+        diags = [{} for _ in pairs]
+        with psa.track_interactions() as tally:
+            stacked = psa.psa_forward(xs, us, p, cfg, diagnostics=diags)
+        assert len(stage_calls) == 2
+        assert tally.total == bare_pairs
+        for out, diag, single, single_diag in zip(stacked.reshape(4, 8, 8, 8), diags,
+                                                   bare, bare_diags):
+            assert out.tobytes() == single.tobytes()
+            for key in ("attention", "key_scores"):
+                assert np.array_equal(diag[key], single_diag[key])
+            for field in ("coarse_indices", "scores", "fine_indices"):
+                assert np.array_equal(getattr(diag["selection"], field),
+                                      getattr(single_diag["selection"], field))
+
+
+    @pytest.mark.parametrize("fusion_mode", ["sum", "self_gating"])
+    def test_no_cell_kept_skips_fine_stage(self, monkeypatch, fusion_mode):
+        """When no score passes the threshold the fine stage does not run,
+        and a bare map and a stack get the bytes of refinement off."""
+        rng = np.random.default_rng(56)
+        x_map, u_map = make_pair(rng)
+        off = psa.PsaConfig(token_dim=8, heads=2, fusion_mode=fusion_mode, fine_enabled=False)
+        on = dataclasses.replace(off, fine_enabled=True, score_threshold=1.0)
+        p = make_params(off, seed=57)
+        expected = psa.psa_forward(x_map, u_map, p, off)
+        monkeypatch.setattr(psa, "fine_attention", lambda *args: pytest.fail("fine stage ran"))
+        for x, u in ((x_map, u_map), (np.stack([x_map] * 2), np.stack([u_map] * 2))):
+            out = psa.psa_forward(x, u, p, on)
+            assert out.tobytes() == np.broadcast_to(expected, out.shape).tobytes()
 
 class TestPsaStack:
     def test_depth_one_is_plain_forward(self):

@@ -699,6 +699,20 @@ class TestTopkIndices:
         got = ops.topk_indices(s, k, 1e-6).tolist()
         assert got == oracles.topk_reference(s, k, 1e-6)
 
+    @given(st.integers(0, 10_000), st.integers(0, 12))
+    def test_stack_rows_match_sort_reference(self, seed, k):
+        """Each row of a [2, 3, 16] stack, with ties, NaN and rows below the
+        threshold, is the reference padded with -1 to the longest row."""
+        rng = np.random.default_rng(seed)
+        s = rng.integers(0, 5, size=(2, 3, 16)) / 4.0
+        s[0, 1] = 0.0
+        s[1, 2, rng.integers(0, 16)] = np.nan
+        got = ops.topk_indices(s, k, 0.1)
+        want = [oracles.topk_reference(row, k, 0.1) for row in s.reshape(6, 16)]
+        width = max(map(len, want))
+        assert got.shape == (2, 3, width) and got.dtype == np.int64
+        assert got.reshape(6, width).tolist() == [w + [-1] * (width - len(w)) for w in want]
+
 
 class TestDebugChecks:
     def test_non_finite_output_raises(self):

@@ -1,23 +1,26 @@
 """Before/after latency of the inference paths, as one JSON record.
 
     python tools/bench_inference.py --before ../parent-checkout --after . \
-        --rounds 10 --out BENCH_infer_fold.json
+        --rounds 10 --out BENCH_batch_refine.json
 
-Times two operations on each of two checkouts of this repository:
+Times three operations on each of two checkouts of this repository:
 
 * ``neck_image``: one image through ``backbone_forward`` and
   ``det_neck_forward``, default neck channel plan with refinement on at
   k=8 at all three sites, images cycled from ``synth_dataset(seed, 256, 8)``;
 * ``eval_slice``: one ``evaluate_accuracy`` call over 64 images of
-  ``synth_dataset(seed, 64, 4)`` on the default classifier (refinement off).
+  ``synth_dataset(seed, 64, 4)`` on the default classifier (refinement off);
+* ``eval_slice_refined``: the same call with refinement on at k=8, same
+  parameters.
 
 Each round runs one fresh worker process per checkout, in alternating order,
 so that a slow stretch of the host falls on both. A worker imports ``pst``
 from its checkout's ``src``, warms up, and times ``--images`` neck images and
-``--slices`` slices with ``pst.bench.benchmark``. The record pools every
-round's samples per checkout into median, p10 and p90, counts the rounds in
-which the change's median was the lower, and names the machine and each
-checkout's commit (``pst.bench.machine_info`` and ``source_commit``).
+``--slices`` slices of each kind with ``pst.bench.benchmark``. The record
+pools every round's samples per checkout into median, p10 and p90, counts
+the rounds in which the change's median was the lower, and names the
+machine and each checkout's commit (``pst.bench.machine_info`` and
+``source_commit``).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-OPERATIONS = ("neck_image", "eval_slice")
+OPERATIONS = ("neck_image", "eval_slice", "eval_slice_refined")
 
 
 def worker(seed: int, images: int, slices: int) -> dict:
@@ -58,11 +61,18 @@ def worker(seed: int, images: int, slices: int) -> dict:
     params = networks.init_train_state(cls_cfg, seed).params
     batch, labels = networks.synth_dataset(seed, networks.EVAL_SLICE, 4)
 
+    refined_cfg = networks.default_cls_config(4, k=8, fine_enabled=True)
+
     def eval_slice():
         networks.evaluate_accuracy(batch, labels, params, cls_cfg)
 
+    def eval_slice_refined():
+        networks.evaluate_accuracy(batch, labels, params, refined_cfg)
+
     stats = {"neck_image": bench.benchmark(neck_image, repeats=images, warmup=50),
-             "eval_slice": bench.benchmark(eval_slice, repeats=slices, warmup=5)}
+             "eval_slice": bench.benchmark(eval_slice, repeats=slices, warmup=5),
+             "eval_slice_refined": bench.benchmark(eval_slice_refined, repeats=slices,
+                                                   warmup=5)}
     return {"samples_ns": {k: s.samples_ns.tolist() for k, s in stats.items()},
             "machine": bench.machine_info(), **bench.source_commit()}
 
@@ -118,6 +128,8 @@ def main(argv=None) -> int:
                           "refinement on (k=8) at all three sites",
             "eval_slice": "evaluate_accuracy over one slice of 64 images, "
                           "default classifier, refinement off",
+            "eval_slice_refined": "evaluate_accuracy over one slice of 64 images, "
+                                  "default classifier, refinement on (k=8)",
         },
         "rounds": args.rounds, "images_per_round": args.images,
         "slices_per_round": args.slices, "first_seed": args.seed,
