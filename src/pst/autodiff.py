@@ -11,6 +11,14 @@ handles. With plain arrays it just computes and returns an array, so the
 same forward code serves inference and training. As soon as one operand is
 a Var the result is recorded on that Var's tape.
 
+An op first tests its operands' types inline (``type(x) is not Var``).
+When none is a Var, it runs the same checks and the same kernel as a
+recorded call and returns the kernel's array at once, without looking up a
+tape: an untaped forward pays no per-op dispatch, and its bytes are those
+of the recorded call's value. Only a call with a Var operand looks up its
+tape, through :func:`_tape_of` where there are several operands, which
+rejects operands recorded on different tapes.
+
 A tape is single use: one backward pass consumes it, and a second backward
 without re-recording raises :class:`~pst.errors.ContractError`.
 
@@ -153,16 +161,16 @@ def _tape_of(*xs) -> Optional[Tape]:
 def add(a, b, *, in_place: bool = False):
     """``a + b``; with ``in_place``, an unrecorded sum of ``a``'s dtype is
     formed in ``a``'s buffer, which the caller owns."""
-    av, bv = _val(a), _val(b)
+    plain = type(a) is not Var and type(b) is not Var
+    av, bv = (a, b) if plain else (_val(a), _val(b))
     if av.shape != bv.shape:
         raise DimensionError(f"add shapes differ: {av.shape} vs {bv.shape}")
+    if plain:
+        if in_place and np.result_type(a, b) == a.dtype:
+            return np.add(a, b, out=a)
+        return a + b
     tape = _tape_of(a, b)
-    if tape is None and in_place and np.result_type(av, bv) == av.dtype:
-        return np.add(av, bv, out=av)
     out = av + bv
-    if tape is None:
-        return out
-
     a_var, b_var = isinstance(a, Var), isinstance(b, Var)
 
     def bwd(up):
@@ -172,13 +180,14 @@ def add(a, b, *, in_place: bool = False):
 
 
 def mul(a, b):
-    av, bv = _val(a), _val(b)
+    plain = type(a) is not Var and type(b) is not Var
+    av, bv = (a, b) if plain else (_val(a), _val(b))
     if av.shape != bv.shape:
         raise DimensionError(f"mul shapes differ: {av.shape} vs {bv.shape}")
     out = av * bv
-    tape = _tape_of(a, b)
-    if tape is None:
+    if plain:
         return out
+    tape = _tape_of(a, b)
 
     # Each operand's gradient reads the other operand.
     a_factor = bv if isinstance(a, Var) else None
@@ -193,10 +202,10 @@ def mul(a, b):
 
 def scalar_affine(x, scale: float, shift: float = 0.0):
     """Elementwise ``x * scale + shift`` with python-float coefficients."""
-    xv = _val(x)
+    plain = type(x) is not Var
+    xv = x if plain else x.value
     out = xv * xv.dtype.type(scale) + xv.dtype.type(shift)
-    tape = _tape_of(x)
-    if tape is None:
+    if plain:
         return out
 
     factor = xv.dtype.type(scale)
@@ -204,15 +213,15 @@ def scalar_affine(x, scale: float, shift: float = 0.0):
     def bwd(up):
         return (up * factor,)
 
-    return tape._emit("scalar_affine", (x,), out, bwd)
+    return x.tape._emit("scalar_affine", (x,), out, bwd)
 
 
 def matmul(a, b):
+    if type(a) is not Var and type(b) is not Var:
+        return ops.matmul(a, b)
     av, bv = _val(a), _val(b)
     out = ops.matmul(av, bv)
     tape = _tape_of(a, b)
-    if tape is None:
-        return out
 
     right = bv if isinstance(a, Var) else None
     left = av if isinstance(b, Var) else None
@@ -228,34 +237,32 @@ def matmul(a, b):
 
 
 def transpose(x):
-    xv = _val(x)
+    plain = type(x) is not Var
+    xv = x if plain else x.value
     if xv.ndim != 2:
         raise DimensionError(f"transpose expects a rank-2 array, got {xv.shape}")
     out = xv.T
-    tape = _tape_of(x)
-    if tape is None:
+    if plain:
         return out
 
     def bwd(up):
         return (up.T,)
 
-    return tape._emit("transpose", (x,), out, bwd)
+    return x.tape._emit("transpose", (x,), out, bwd)
 
 
 def softmax_rows(x):
     # The library's attention runs the fused ``attention`` op; this op stays
     # because perfbench reports per-layer metrics under its name.
-    xv = _val(x)
-    y = ops.softmax_rows(xv)
-    tape = _tape_of(x)
-    if tape is None:
-        return y
+    if type(x) is not Var:
+        return ops.softmax_rows(x)
+    y = ops.softmax_rows(x.value)
 
     def bwd(up):
         dot = (up * y).sum(axis=1, keepdims=True)
         return (y * (up - dot),)
 
-    return tape._emit("softmax_rows", (x,), y, bwd)
+    return x.tape._emit("softmax_rows", (x,), y, bwd)
 
 
 def attention(q, k, v, heads: int, weights: Optional[np.ndarray] = None):
@@ -265,13 +272,13 @@ def attention(q, k, v, heads: int, weights: Optional[np.ndarray] = None):
     plain array even when ``out`` is recorded. A recorded pass keeps the
     post-softmax weights for its backward rule, in ``weights`` when given.
     """
+    if type(q) is not Var and type(k) is not Var and type(v) is not Var:
+        return ops.attention(q, k, v, heads, weights)
     qv, kv, vv = _val(q), _val(k), _val(v)
     tape = _tape_of(q, k, v)
-    if tape is not None and weights is None:
+    if weights is None:
         weights = ops.attention_weights_buffer(qv, kv, heads)
     out, scores = ops.attention(qv, kv, vv, heads, weights)
-    if tape is None:
-        return out, scores
     scale = out.dtype.type(1.0 / math.sqrt(qv.shape[-1] // heads))
     v_var = isinstance(v, Var)
     # Every gradient reads the weights; those of q and k read the values and
@@ -306,11 +313,11 @@ def _non_channel_axes(x: np.ndarray) -> tuple[int, ...]:
 
 
 def conv1x1(x, w):
+    if type(x) is not Var and type(w) is not Var:
+        return ops.conv1x1(x, w)
     xv, wv = _val(x), _val(w)
     out = ops.conv1x1(xv, wv)
     tape = _tape_of(x, w)
-    if tape is None:
-        return out
 
     weight = wv if isinstance(x, Var) else None
     inputs = xv if isinstance(w, Var) else None
@@ -325,11 +332,11 @@ def conv1x1(x, w):
 
 
 def depthwise_conv7x7(x, kernel):
+    if type(x) is not Var and type(kernel) is not Var:
+        return ops.depthwise_conv7x7(x, kernel)
     xv, kv = _val(x), _val(kernel)
     out = ops.depthwise_conv7x7(xv, kv)
     tape = _tape_of(x, kernel)
-    if tape is None:
-        return out
 
     inputs = xv if isinstance(kernel, Var) else None
     k_dtype = kv.dtype
@@ -357,16 +364,17 @@ def batch_norm(x, gamma, beta, running_mean, running_var, *,
     ``in_place``, an unrecorded ``y`` is formed in ``x``'s buffer, which the
     caller owns.
     """
+    if type(x) is not Var and type(gamma) is not Var and type(beta) is not Var:
+        return ops._batch_norm(x, gamma, beta, running_mean, running_var, mode,
+                               channel_axis % x.ndim, eps, momentum,
+                               keep_xhat=False, in_place=in_place)[:3]
     xv, gv, bv = _val(x), _val(gamma), _val(beta)
     tape = _tape_of(x, gamma, beta)
     channel_axis %= xv.ndim
-    y, new_mean, new_var, kept = ops._batch_norm(
+    y, new_mean, new_var, (xhat, inv) = ops._batch_norm(
         xv, gv, bv, running_mean, running_var, mode, channel_axis, eps, momentum,
-        keep_xhat=tape is not None, in_place=in_place)
-    if tape is None:
-        return y, new_mean, new_var
+        keep_xhat=True, in_place=in_place)
 
-    xhat, inv = kept
     pshape = inv.shape
     sample = ops._sample_shape(xv, channel_axis)
     reduce_axes = tuple(i for i in range(xv.ndim) if i != channel_axis)
@@ -407,55 +415,50 @@ def channel_affine(x, scale: np.ndarray, shift: Optional[np.ndarray] = None, *,
     arrays, constants under differentiation. With ``in_place``, an
     unrecorded result of ``x``'s dtype is formed in ``x``'s buffer, which
     the caller owns."""
-    xv = _val(x)
-    tape = _tape_of(x)
-    in_place = tape is None and in_place and np.result_type(xv, scale) == xv.dtype
-    out = ops.channel_affine(xv, scale, shift, channel_axis, out=xv if in_place else None)
-    if tape is None:
-        return out
+    if type(x) is not Var:
+        in_place = in_place and np.result_type(x, scale) == x.dtype
+        return ops.channel_affine(x, scale, shift, channel_axis, out=x if in_place else None)
+    xv = x.value
+    out = ops.channel_affine(xv, scale, shift, channel_axis)
     factor = scale.reshape((-1,) + (1,) * (xv.ndim - 1 - channel_axis % xv.ndim))
 
     def bwd(up):
         return (up * factor,)
 
-    return tape._emit("channel_affine", (x,), out, bwd)
+    return x.tape._emit("channel_affine", (x,), out, bwd)
 
 
 def upsample_tokens2x(x):
     """Tokens of the nearest 2x upsampling of a [..., C, H, W] map; see
     :func:`pst.tensor_ops.upsample_tokens2x`."""
-    xv = _val(x)
-    out = ops.upsample_tokens2x(xv)
-    tape = _tape_of(x)
-    if tape is None:
-        return out
-    h, w = xv.shape[-2:]
+    if type(x) is not Var:
+        return ops.upsample_tokens2x(x)
+    out = ops.upsample_tokens2x(x.value)
+    h, w = x.value.shape[-2:]
 
     def bwd(up):
         return (ops.upsample_tokens2x_adjoint(up, h, w),)
 
-    return tape._emit("upsample_tokens2x", (x,), out, bwd)
+    return x.tape._emit("upsample_tokens2x", (x,), out, bwd)
 
 
 def downsample_avg2x(x):
-    xv = _val(x)
-    out = ops.downsample_avg2x(xv)
-    tape = _tape_of(x)
-    if tape is None:
-        return out
+    if type(x) is not Var:
+        return ops.downsample_avg2x(x)
+    out = ops.downsample_avg2x(x.value)
 
     def bwd(up):
         return (np.repeat(np.repeat(up, 2, axis=-2), 2, axis=-1) * up.dtype.type(0.25),)
 
-    return tape._emit("downsample_avg2x", (x,), out, bwd)
+    return x.tape._emit("downsample_avg2x", (x,), out, bwd)
 
 
 def concat_channels(a, b):
+    if type(a) is not Var and type(b) is not Var:
+        return ops.concat_channels(a, b)
     av, bv = _val(a), _val(b)
     out = ops.concat_channels(av, bv)
     tape = _tape_of(a, b)
-    if tape is None:
-        return out
     split = av.shape[-3]
     a_var, b_var = isinstance(a, Var), isinstance(b, Var)
 
@@ -467,59 +470,52 @@ def concat_channels(a, b):
 
 
 def map_to_tokens(x):
-    xv = _val(x)
-    out = ops.map_to_tokens(xv)
-    tape = _tape_of(x)
-    if tape is None:
-        return out
-    h, w = xv.shape[-2:]
+    if type(x) is not Var:
+        return ops.map_to_tokens(x)
+    out = ops.map_to_tokens(x.value)
+    h, w = x.value.shape[-2:]
 
     def bwd(up):
         return (ops.tokens_to_map(up, h, w),)
 
-    return tape._emit("map_to_tokens", (x,), out, bwd)
+    return x.tape._emit("map_to_tokens", (x,), out, bwd)
 
 
 def tokens_to_map(t, h: int, w: int):
-    tv = _val(t)
-    out = ops.tokens_to_map(tv, h, w)
-    tape = _tape_of(t)
-    if tape is None:
-        return out
+    if type(t) is not Var:
+        return ops.tokens_to_map(t, h, w)
+    out = ops.tokens_to_map(t.value, h, w)
 
     def bwd(up):
         return (ops.map_to_tokens(up),)
 
-    return tape._emit("tokens_to_map", (t,), out, bwd)
+    return t.tape._emit("tokens_to_map", (t,), out, bwd)
 
 
 def gather_rows(t, indices):
     """Row gather. Indices are constants under differentiation; the backward
     rule scatter-adds into the source rows."""
-    tv = _val(t)
     idx = np.asarray(indices, dtype=np.int64).reshape(-1)
-    out = ops.gather_rows(tv, idx)
-    tape = _tape_of(t)
-    if tape is None:
-        return out
-
-    shape, dtype = tv.shape, tv.dtype
+    if type(t) is not Var:
+        return ops.gather_rows(t, idx)
+    out = ops.gather_rows(t.value, idx)
+    shape, dtype = t.value.shape, t.value.dtype
 
     def bwd(up):
         g = np.zeros(shape, dtype)
         np.add.at(g, idx, up)
         return (g,)
 
-    return tape._emit("gather_rows", (t,), out, bwd)
+    return t.tape._emit("gather_rows", (t,), out, bwd)
 
 
 def concat_cols(parts: Sequence):
     """Join [..., N, d_i] token matrices along their last axis."""
+    if Var not in map(type, parts):
+        return np.concatenate(parts, axis=-1)
     vals = [_val(p) for p in parts]
     out = np.concatenate(vals, axis=-1)
     tape = _tape_of(*parts)
-    if tape is None:
-        return out
     widths = [v.shape[-1] for v in vals]
     recorded = [isinstance(p, Var) for p in parts]
 
@@ -536,13 +532,14 @@ def concat_cols(parts: Sequence):
 
 def stack(parts: Sequence):
     """Stack equal-shaped samples along a new leading batch axis."""
-    vals = [_val(p) for p in parts]
+    plain = Var not in map(type, parts)
+    vals = list(parts) if plain else [_val(p) for p in parts]
     if not vals or any(v.shape != vals[0].shape for v in vals):
         raise DimensionError(f"stack expects one or more equal shapes, got {[v.shape for v in vals]}")
     out = np.stack(vals)
-    tape = _tape_of(*parts)
-    if tape is None:
+    if plain:
         return out
+    tape = _tape_of(*parts)
 
     recorded = [isinstance(p, Var) for p in parts]
 
@@ -558,13 +555,13 @@ def unstack(x) -> list:
     Recorded as one ``unstack`` op per sample, each scattering its gradient
     back into the stack's shape.
     """
-    xv = _val(x)
+    plain = type(x) is not Var
+    xv = x if plain else x.value
     if xv.ndim < 1:
         raise DimensionError("unstack expects an array with a leading batch axis")
-    tape = _tape_of(x)
-    if tape is None:
+    if plain:
         return list(xv)
-    shape, dtype = xv.shape, xv.dtype
+    tape, shape, dtype = x.tape, xv.shape, xv.dtype
 
     def take(i):
         def bwd(up):
@@ -579,13 +576,14 @@ def unstack(x) -> list:
 
 def add_bias(x, b):
     """Broadcast a [C] bias over the rows of a [..., N, C] matrix."""
-    xv, bv = _val(x), _val(b)
+    plain = type(x) is not Var and type(b) is not Var
+    xv, bv = (x, b) if plain else (_val(x), _val(b))
     if xv.ndim < 2 or bv.shape != (xv.shape[-1],):
         raise DimensionError(f"add_bias shapes incompatible: {xv.shape} + {bv.shape}")
     out = xv + bv
-    tape = _tape_of(x, b)
-    if tape is None:
+    if plain:
         return out
+    tape = _tape_of(x, b)
 
     x_var, b_var, c = isinstance(x, Var), isinstance(b, Var), bv.shape[0]
 
@@ -601,13 +599,14 @@ def linear(v, w, b):
     Each vector is its own row product, so a stacked vector gives the bytes
     it gives alone.
     """
-    vv, wv, bv = _val(v), _val(w), _val(b)
+    plain = type(v) is not Var and type(w) is not Var and type(b) is not Var
+    vv, wv, bv = (v, w, b) if plain else (_val(v), _val(w), _val(b))
     if vv.ndim < 1 or wv.ndim != 2 or vv.shape[-1] != wv.shape[0] or bv.shape != (wv.shape[1],):
         raise DimensionError(f"linear shapes incompatible: {vv.shape} @ {wv.shape} + {bv.shape}")
     out = (vv[..., None, :] @ wv)[..., 0, :] + bv
-    tape = _tape_of(v, w, b)
-    if tape is None:
+    if plain:
         return out
+    tape = _tape_of(v, w, b)
 
     weight = wv if isinstance(v, Var) else None
     inputs = vv if isinstance(w, Var) else None
@@ -625,10 +624,9 @@ def linear(v, w, b):
 def silu(x, *, in_place: bool = False):
     """``x * sigmoid(x)``; with ``in_place``, an unrecorded result is formed
     in ``x``'s buffer, which the caller owns."""
-    xv = _val(x)
-    tape = _tape_of(x)
-    if tape is None:
-        return ops.silu(xv, out=xv if in_place else None)
+    if type(x) is not Var:
+        return ops.silu(x, out=x if in_place else None)
+    xv = x.value
     s = ops.sigmoid(xv)
     out = xv * s
 
@@ -640,44 +638,42 @@ def silu(x, *, in_place: bool = False):
         g *= up
         return (g,)
 
-    return tape._emit("silu", (x,), out, bwd)
+    return x.tape._emit("silu", (x,), out, bwd)
 
 
 def sigmoid(x):
-    xv = _val(x)
-    y = ops.sigmoid(xv)
-    tape = _tape_of(x)
-    if tape is None:
-        return y
+    if type(x) is not Var:
+        return ops.sigmoid(x)
+    y = ops.sigmoid(x.value)
 
     def bwd(up):
         return (up * y * (1.0 - y),)
 
-    return tape._emit("sigmoid", (x,), y, bwd)
+    return x.tape._emit("sigmoid", (x,), y, bwd)
 
 
 def mean_spatial(x):
     """Average a [..., C, H, W] map over its spatial axes, yielding [..., C]."""
-    xv = _val(x)
+    plain = type(x) is not Var
+    xv = x if plain else x.value
     if xv.ndim < 3:
         raise DimensionError(f"mean_spatial expects a [..., C, H, W] input, got {xv.shape}")
     out = xv.mean(axis=(-2, -1))
-    tape = _tape_of(x)
-    if tape is None:
+    if plain:
         return out
     shape, scale = xv.shape, xv.dtype.type(1.0 / (xv.shape[-2] * xv.shape[-1]))
 
     def bwd(up):
         return (np.broadcast_to(up[..., None, None], shape) * scale,)
 
-    return tape._emit("mean_spatial", (x,), out, bwd)
+    return x.tape._emit("mean_spatial", (x,), out, bwd)
 
 
 def sum_all(x):
-    xv = _val(x)
+    plain = type(x) is not Var
+    xv = x if plain else x.value
     out = np.asarray(xv.sum(), dtype=xv.dtype)
-    tape = _tape_of(x)
-    if tape is None:
+    if plain:
         return out
 
     shape, dtype = xv.shape, xv.dtype
@@ -685,14 +681,14 @@ def sum_all(x):
     def bwd(up):
         return (np.ones(shape, dtype) * up,)
 
-    return tape._emit("sum_all", (x,), out, bwd)
+    return x.tape._emit("sum_all", (x,), out, bwd)
 
 
 def mean_all(x):
-    xv = _val(x)
+    plain = type(x) is not Var
+    xv = x if plain else x.value
     out = np.asarray(xv.mean(), dtype=xv.dtype)
-    tape = _tape_of(x)
-    if tape is None:
+    if plain:
         return out
     shape, dtype = xv.shape, xv.dtype
     scale = dtype.type(1.0 / xv.size)
@@ -700,7 +696,7 @@ def mean_all(x):
     def bwd(up):
         return (np.ones(shape, dtype) * (up * scale),)
 
-    return tape._emit("mean_all", (x,), out, bwd)
+    return x.tape._emit("mean_all", (x,), out, bwd)
 
 
 def cross_entropy(logits, labels):
@@ -709,7 +705,8 @@ def cross_entropy(logits, labels):
     ``logits`` is [..., K] and ``labels`` an int or int array of shape
     [...]; the result has shape [...], one loss per logit vector.
     """
-    lv = _val(logits)
+    plain = type(logits) is not Var
+    lv = logits if plain else logits.value
     picks = np.asarray(labels, dtype=np.int64)
     if lv.ndim < 1 or picks.shape != lv.shape[:-1]:
         raise DimensionError(f"cross_entropy expects [..., K] logits with [...] labels, "
@@ -722,8 +719,7 @@ def cross_entropy(logits, labels):
     shifted = lv - lv.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out = np.asarray((lse - shifted)[onehot].reshape(picks.shape), dtype=lv.dtype)
-    tape = _tape_of(logits)
-    if tape is None:
+    if plain:
         return out
     probs = np.exp(shifted - lse)
 
@@ -732,7 +728,7 @@ def cross_entropy(logits, labels):
         g[onehot] -= 1.0
         return (g * up[..., None],)
 
-    return tape._emit("cross_entropy", (logits,), out, bwd)
+    return logits.tape._emit("cross_entropy", (logits,), out, bwd)
 
 
 # --- gradient checking ------------------------------------------------------

@@ -153,32 +153,41 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
     float64 [..., M] mean post-softmax weight of each key over heads and
     queries, which sums to one per sample.
 
-    The scale ``1/sqrt(d_head)`` is folded into the queries. Queries are
+    The scale ``1/sqrt(d_head)`` is folded into the queries, which are
+    scaled into ``out`` itself: a unit reads the scaled queries of its rows
+    and head before it writes its result over them, and no other unit reads
+    them, so the call holds no second [..., N, d] array. Queries are
     walked in row tiles of about ``ATTENTION_TILE_LOGITS`` logits per sample
     over all heads; every tile sees every key, so its softmax is exact. One
     tile of one head, over every sample of the stack, is a work unit (see
-    :func:`attention_units`). A unit's logits are exponentiated in place
-    after their row max is taken out; a skinny tile, with at least
+    :func:`attention_units`), and one function, :func:`_attention_unit`,
+    runs it in either runner. A unit's logits are exponentiated in place
+    after their row max is taken out: as ``np.fmax.reduce``, which gives
+    the bytes of numpy's max and its NaN places (see
+    :func:`_attention_unit`), or, for a skinny tile, with at least
     ``ATTENTION_COLUMN_MAX_ROWS`` rows over all samples per key (a stack of
-    small maps, or the fine stage's few keys), takes that max as a running
-    maximum over its key columns (:func:`_column_max`), with the same bytes.
-    Its rows of ``out`` are normalized
-    after the value product, and its column sums, each row weighted by its
-    inverse row sum, are the unit's key-score partial. A tile's partials are
-    summed over heads in float32 and added to a float64 accumulator, tile
-    after tile. The [..., heads, N, M] post-softmax weights are written to
-    ``weights`` only when that buffer is given.
+    small maps, or the fine stage's few keys), as a running maximum over its
+    key columns (:func:`_column_max`), with the same bytes. Its rows of
+    ``out`` are normalized after the value product, and its column sums,
+    each row weighted by its inverse row sum, are the unit's key-score
+    partial. A tile's partials are summed over heads in float32 and added
+    to a float64 accumulator, tile after tile. The [..., heads, N, M]
+    post-softmax weights are written to ``weights`` only when that buffer
+    is given.
 
     Inside :func:`pst.threads.single_blas_thread` on a machine with two CPUs,
     the units of a call whose tiles hold at least
     ``ATTENTION_SHARED_UNIT_LOGITS`` logits are handed out in order to the
-    calling thread and to one pool worker; elsewhere the calling thread runs
-    them all in order, without the lock and the pending tiles that sharing
-    needs. Each unit writes only its own rows and the partials are added in
-    the same order either way, so the bytes of ``out``, the scores and the
-    weights do not depend on it. Nor does the heap: the calling thread
-    allocates every buffer the units write before it hands out the first,
-    and frees every array of the call itself (:func:`_run_shared`).
+    calling thread and to one pool worker (:class:`_AttentionUnits`).
+    Elsewhere the calling thread runs them all in a plain loop, with no
+    lock, no pending tiles and no units object; it allocates its tile, row
+    vector and partials in the order and at the sizes the shared runner
+    does for one thread. Each unit writes only its own rows and the
+    partials are added in the same order either way, so the bytes of
+    ``out``, the scores and the weights do not depend on it. Nor does the
+    heap: the calling thread allocates every buffer the units write before
+    it hands out the first, and frees every array of the call itself
+    (:func:`_run_shared`).
     """
     if (q.ndim < 2 or k.ndim != q.ndim or v.shape != k.shape or k.shape[-1] != q.shape[-1]
             or k.shape[:-2] != q.shape[:-2] or not k.shape[-2]):
@@ -197,13 +206,30 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
     workers = threads.core_workers()
     if workers > 1 and not attention_shares_units(n, m, heads, math.prod(lead)):
         workers = 1
-    units = _AttentionUnits(
-        split_heads(q * dtype.type(1.0 / math.sqrt(dim // heads)), heads),
-        split_heads(k, heads).swapaxes(-1, -2), split_heads(v, heads),
-        split_heads(out, heads), weights, colsum, _tile_rows(n, m, heads), workers)
+    qh = split_heads(np.multiply(q, dtype.type(1.0 / math.sqrt(dim // heads)), out=out), heads)
+    kt, vh = split_heads(k, heads).swapaxes(-1, -2), split_heads(v, heads)
+    out_h, rows = split_heads(out, heads), _tile_rows(n, m, heads)
+    tile_shape = (*lead, rows, m)
+    column_max = m >= 2 and math.prod(tile_shape) >= ATTENTION_COLUMN_MAX_ROWS * m * m
     if workers < 2:
-        units.run_inline()
+        # Every unit on the calling thread, in the order the shared runner
+        # adds their partials. One head's partial is added as it is: the sum
+        # over its one-element axes would add it to +0, which changes no
+        # partial of non-negative weights.
+        tile = np.empty(tile_shape, dtype=dtype)
+        row = np.empty((*lead, rows, 1), dtype=dtype)
+        partials = np.empty((*lead, heads, 1, m), dtype=dtype)
+        for lo in range(0, n, rows):
+            hi = min(n, lo + rows)
+            for h in range(heads):
+                _attention_unit(qh, kt, vh, out_h, weights, column_max, h, lo, hi,
+                                tile, row, partials[..., h, :, :])
+            if heads == 1:
+                colsum += partials[..., 0, 0, :]
+            else:
+                colsum += partials.sum(axis=(-3, -2))
     else:
+        units = _AttentionUnits(qh, kt, vh, out_h, weights, colsum, rows, column_max, workers)
         shared = [units]
         future = threads.pool().submit(_run_shared, shared)
         try:
@@ -250,6 +276,41 @@ def _column_max(tile: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _attention_unit(qh, kt, vh, out_h, weights, column_max: bool, h: int, lo: int, hi: int,
+                    tile, row, partial) -> None:
+    """Query rows ``lo:hi`` of head ``h``, one unit of :func:`attention`, in
+    the ``tile`` [..., rows, M] and ``row`` [..., rows, 1] buffers of the
+    thread that runs it: its rows of ``out`` and of the weights, and its
+    key-score partial into ``partial`` [..., 1, M]. Both runners call it.
+
+    The row max is taken as ``np.fmax.reduce`` where the tile does not take
+    :func:`_column_max`: on rows of 16 to 64 logits it costs about 0.6 of
+    ``np.max``. Max is exact, and fmax differs from it only on a row that
+    holds a NaN, where it skips the NaN, and in the sign of a zero maximum,
+    which ``exp(x - (+0))`` and ``exp(x - (-0))`` map to the same bytes. A
+    row with a NaN logit still sums to NaN, so its rows of ``out`` and of
+    the weights, and its sample's key scores, are NaN as with ``np.max``.
+    The row sum is ``np.add.reduce``, the reduce ``np.sum`` makes, without
+    its Python wrapper.
+    """
+    tile = tile[..., : hi - lo, :]
+    row = row[..., : hi - lo, :]
+    np.matmul(qh[..., h, lo:hi, :], kt[..., h, :, :], out=tile)
+    if column_max:
+        _column_max(tile, row[..., 0])
+    else:
+        np.fmax.reduce(tile, axis=-1, keepdims=True, out=row)
+    tile -= row
+    np.exp(tile, out=tile)
+    inv = np.divide(1.0, np.add.reduce(tile, axis=-1, keepdims=True, out=row), out=row)
+    np.matmul(inv.swapaxes(-1, -2), tile, out=partial)
+    rows_out = out_h[..., h, lo:hi, :]
+    np.matmul(tile, vh[..., h, :, :], out=rows_out)
+    rows_out *= inv
+    if weights is not None:
+        np.multiply(tile, inv, out=weights[..., h, lo:hi, :])
+
+
 # Key-score partial buffers the calling thread allocates for a shared
 # attention call before it hands out any unit: tiles whose heads have
 # started but whose partials are not yet in the accumulator. On two threads
@@ -259,9 +320,11 @@ ATTENTION_PARTIAL_SLOTS = 4
 
 
 class _AttentionUnits:
-    """The (tile, head) units of one :func:`attention` call: run in order by
-    :meth:`run_inline`, or handed out in tile-major order to every thread
-    that calls :meth:`run`.
+    """The (tile, head) units of one shared :func:`attention` call, handed
+    out in tile-major order to every thread that calls :meth:`run`; each
+    runs :func:`_attention_unit`, the body the inline loop of
+    :func:`attention` runs too. An inline call builds none of this: no
+    object, no lock and no pending tiles.
 
     Every array a unit or a flush of the partials writes is allocated here,
     by the calling thread, before any unit runs: one tile and one row vector
@@ -270,73 +333,33 @@ class _AttentionUnits:
     that step, in the thread's own malloc arena. So the heap the call leaves
     behind does not depend on how the units fell to the two threads."""
 
-    def __init__(self, qh, kt, vh, out_h, weights, colsum, rows: int, workers: int = 1):
+    def __init__(self, qh, kt, vh, out_h, weights, colsum, rows: int, column_max: bool,
+                 workers: int):
         *lead, self.heads, self.n, _ = qh.shape
         m = kt.shape[-1]
         dtype = out_h.dtype
         self.qh, self.kt, self.vh, self.out_h = qh, kt, vh, out_h
         self.weights, self.colsum, self.rows = weights, colsum, rows
+        self.column_max = column_max
         self.count = self.heads * -(-self.n // rows)
-        tile_shape = (*lead, rows, m)
-        self.column_max = m >= 2 and math.prod(tile_shape) >= ATTENTION_COLUMN_MAX_ROWS * m * m
-        self.scratch = [(np.empty(tile_shape, dtype=dtype), np.empty((*lead, rows, 1), dtype=dtype))
+        self.scratch = [(np.empty((*lead, rows, m), dtype=dtype),
+                         np.empty((*lead, rows, 1), dtype=dtype))
                         for _ in range(workers)]
-        self.partials_shape = (*lead, self.heads, 1, m)
         self.lock = threading.Condition()
         self.runners = 0  # threads that called run(), each with its scratch
         self.next = 0
         self.flushed = 0  # tiles whose partials are in colsum
         self.pending = {}  # tile -> [partials [..., heads, 1, M], heads still running]
-        if workers > 1:
-            slots = max(1, min(ATTENTION_PARTIAL_SLOTS, self.count // self.heads))
-            self.free = list(np.empty((slots, *self.partials_shape), dtype=dtype))
-            self.sum32 = np.empty(colsum.shape, dtype=dtype)
-            self.sum64 = np.empty(colsum.shape, dtype=colsum.dtype)
+        slots = max(1, min(ATTENTION_PARTIAL_SLOTS, self.count // self.heads))
+        self.free = list(np.empty((slots, *lead, self.heads, 1, m), dtype=dtype))
+        self.sum32 = np.empty(colsum.shape, dtype=dtype)
+        self.sum64 = np.empty(colsum.shape, dtype=colsum.dtype)
 
     def close(self) -> None:
         """Hand out no further unit, and wake a thread waiting for a slot."""
         with self.lock:
             self.next = self.count
             self.lock.notify_all()
-
-    def _unit(self, t: int, h: int, buffers, partial) -> None:
-        """Tile ``t`` of head ``h`` in one thread's ``buffers``: its rows of
-        ``out`` and of the weights, and its key-score partial into
-        ``partial`` [..., 1, M]."""
-        rows, weights = self.rows, self.weights
-        lo = t * rows
-        hi = min(self.n, lo + rows)
-        tile = buffers[0][..., : hi - lo, :]
-        row = buffers[1][..., : hi - lo, :]
-        np.matmul(self.qh[..., h, lo:hi, :], self.kt[..., h, :, :], out=tile)
-        if self.column_max:
-            _column_max(tile, row[..., 0])
-        else:
-            np.max(tile, axis=-1, keepdims=True, out=row)
-        tile -= row
-        np.exp(tile, out=tile)
-        inv = np.divide(1.0, np.sum(tile, axis=-1, keepdims=True, out=row), out=row)
-        np.matmul(inv.swapaxes(-1, -2), tile, out=partial)
-        rows_out = self.out_h[..., h, lo:hi, :]
-        np.matmul(tile, self.vh[..., h, :, :], out=rows_out)
-        rows_out *= inv
-        if weights is not None:
-            np.multiply(tile, inv, out=weights[..., h, lo:hi, :])
-
-    def run_inline(self) -> None:
-        """Every unit on the calling thread, in the order :meth:`run` adds
-        their partials, without its lock or its pending tiles. One head's
-        partial is added as it is: the sum over its one-element axes would
-        add it to +0, which changes no partial of non-negative weights."""
-        buffers = self.scratch[0]
-        partials = np.empty(self.partials_shape, dtype=self.out_h.dtype)
-        for t in range(self.count // self.heads):
-            for h in range(self.heads):
-                self._unit(t, h, buffers, partials[..., h, :, :])
-            if self.heads == 1:
-                self.colsum += partials[..., 0, 0, :]
-            else:
-                self.colsum += partials.sum(axis=(-3, -2))
 
     def _flush(self, partials) -> None:
         """Add a finished tile's partials to ``colsum``, in the bytes of
@@ -353,9 +376,9 @@ class _AttentionUnits:
         thread runs a unit, whose end flushes at least one tile. On an
         error the call hands out no further unit, so the other thread never
         waits on a tile this one left unfinished."""
-        lock, pending, heads = self.lock, self.pending, self.heads
+        lock, pending, heads, rows = self.lock, self.pending, self.heads, self.rows
         with lock:
-            buffers = self.scratch[self.runners]
+            tile, row = self.scratch[self.runners]
             self.runners += 1
         try:
             while True:
@@ -370,7 +393,10 @@ class _AttentionUnits:
                     if not h:
                         pending[t] = [self.free.pop(), heads]
                     entry = pending[t]
-                self._unit(t, h, buffers, entry[0][..., h, :, :])
+                lo = t * rows
+                _attention_unit(self.qh, self.kt, self.vh, self.out_h, self.weights,
+                                self.column_max, h, lo, min(self.n, lo + rows),
+                                tile, row, entry[0][..., h, :, :])
                 with lock:
                     entry[1] -= 1
                     # Tile order: flush every finished tile no earlier one waits on.

@@ -1,6 +1,7 @@
 """Tape mechanics, per-op gradient checks, and the checker's own guarantees."""
 
 import inspect
+import sys
 import weakref
 import zlib
 
@@ -328,6 +329,38 @@ def test_gradcheck_per_op(op):
         report = ad.check_gradients(build, params)
         assert report.passed, f"{op} seed {seed}:\n{report.to_text()}"
         assert {e.name for e in report.entries} == set(params)
+
+
+@pytest.mark.parametrize("op", sorted(OP_CASES))
+def test_untaped_forward_gives_the_taped_bytes(op, monkeypatch):
+    """Each case's forward on plain arrays returns plain numpy values, the
+    op's outputs and the loss, of the types and with the bytes of the taped
+    forward's values: the early exit an op takes when no operand is a Var
+    runs the same kernel. Every op output is an ndarray; only ``unstack``'s
+    loss, a sum of 0-d arrays, is a numpy scalar, taped or not."""
+    params, build = OP_CASES[op](np.random.default_rng([0, op_stream(op)]))
+    probe_loss = _probe_loss
+    outs = []
+
+    def capture(out, probe):
+        outs.append(out)
+        return probe_loss(out, probe)
+
+    monkeypatch.setattr(sys.modules[__name__], "_probe_loss", capture)
+    loss = build(params)
+    plain = [*outs, loss]
+    tape = ad.Tape()
+    lifted, _ = ad.lift_tree(tape, params)
+    outs.clear()
+    loss = build(lifted)
+    taped = [*outs, loss]
+    assert len(plain) == len(taped) >= 1
+    assert all(type(out) is np.ndarray for out in plain[:-1])
+    for got, want in zip(plain, taped):
+        assert isinstance(want, ad.Var) and type(got) is type(want.value)
+        assert isinstance(got, (np.ndarray, np.generic))
+        assert got.dtype == want.value.dtype and got.shape == want.value.shape
+        assert got.tobytes() == want.value.tobytes()
 
 
 @pytest.mark.parametrize("key", [(6, 1222065912), (4, 1228114386)])

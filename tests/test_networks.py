@@ -1,11 +1,15 @@
 """Toy networks: backbone geometry, neck wiring, classifier training."""
 
 import hashlib
+import importlib.util
+import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pst
 from pst import autodiff as ad
 from pst import bench
 from pst import networks as nets
@@ -110,6 +114,24 @@ class TestDetNeck:
         assert np.array_equal(a.p3, b.p3)
         assert np.array_equal(a.p4, b.p4)
         assert np.array_equal(a.p5, b.p5)
+
+
+    def test_one_refined_neck_image_makes_at_most_700_pst_calls(self):
+        """Interpreter overhead, not arithmetic, sets a neck image's latency,
+        and its call count does not depend on the host's load. One image of
+        the ``neck_image`` operation of ``tools/bench_inference.py``
+        (refinement on at k=8 at all three sites) makes at most 700 calls
+        into ``pst`` functions under ``sys.setprofile``; it made 994 while
+        every untaped op still looked up its tape."""
+        ops.set_debug_checks(False)
+        path = Path(__file__).resolve().parents[1] / "tools" / "bench_inference.py"
+        spec = importlib.util.spec_from_file_location("bench_inference", path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        neck_image = tool.neck_image_op(1)
+        neck_image()  # first-call lookups, such as the BLAS control
+        counts = tool.call_counts(neck_image, os.path.dirname(pst.__file__))
+        assert counts["pst"] <= 700, counts
 
 
 class TestClassifier:

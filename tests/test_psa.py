@@ -1,6 +1,9 @@
 """Attention pipeline: projections, scoring, selection, fusion, stacking."""
 
+import contextlib
 import dataclasses
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from pst import psa
 from pst import tensor_ops as ops
 from pst.errors import ContractError, DimensionError, GatherIndexError
 from pst.params import named_arrays
+from test_threads import shared_units
 
 
 def make_pair(rng, d=8, side=8, dtype=np.float64):
@@ -219,6 +223,24 @@ class TestAttentionCore:
         exact /= 2 * 4096
         assert np.abs(scores - exact).max() <= 1e-4 * exact.mean()
 
+    def test_scaled_queries_share_the_output_buffer(self):
+        """The scaled queries are written into the output, which each unit
+        overwrites only after reading its own rows: a call holds its output,
+        one tile and a few small buffers, and no second [N, d] array."""
+        rng = np.random.default_rng(63)
+        q, k, v = (rng.standard_normal(shape).astype(np.float32)
+                   for shape in ((4096, 64), (1024, 64), (1024, 64)))
+        tile = ops._tile_rows(4096, 1024, 2) * 1024 * 4
+        ops.set_debug_checks(False)  # its finiteness mask is not the core's
+        psa.attention(q, k, v, 2)
+        tracemalloc.start()
+        try:
+            psa.attention(q, k, v, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= q.nbytes + tile + 256 * 1024 < 2 * q.nbytes + tile
+
     @pytest.mark.parametrize("heads", [1, 2])
     @pytest.mark.parametrize("lead, n", [((), 64), ((), 128), ((64,), 64), ((4, 8), 16)])
     def test_skinny_stacks_match_the_row_max_steps(self, heads, lead, n):
@@ -266,25 +288,40 @@ class TestAttentionCore:
         assert e_got[finite].tobytes() == e_want[finite].tobytes()
 
     @pytest.mark.parametrize("lead", [(), (32,)])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_nan_query_row_gives_nan_in_the_same_places(self, lead):
         """A NaN in one query row makes that row of ``out`` and of the
-        weights NaN, and the key scores of its sample, on both row-max
-        paths; every other element keeps the oracle's bytes. The bytes of
-        the NaNs may differ and are not compared."""
+        weights NaN, and the key scores of its sample. So does a NaN key in
+        every row of its head, which then holds some NaN logits beside
+        finite ones: the one case where ``np.fmax`` and numpy's max differ.
+        An infinite key gives a NaN row where its logit is +inf and a zero
+        weight where it is -inf. Each case runs on both row-max paths (a
+        bare map, a stack of 32) and on both runners (inline, and shared
+        with the pool worker as in ``tests/test_threads.py``); every other
+        element keeps the bytes of ``oracles.attention_tile_steps``. The
+        bytes of the NaNs may differ and are not compared."""
         ops.set_debug_checks(False)
         rng = np.random.default_rng(65)
-        q, k, v = (rng.standard_normal((*lead, rows, 8)).astype(np.float32)
-                   for rows in (64, 16, 16))
+        clean = [rng.standard_normal((*lead, rows, 8)).astype(np.float32)
+                 for rows in (64, 16, 16)]
         assert (64 * max(1, int(np.prod(lead))) >= ops.ATTENTION_COLUMN_MAX_ROWS * 16) == bool(lead)
-        q[(0,) * len(lead) + (5, 3)] = np.nan
-        weights = ops.attention_weights_buffer(q, k, 2)
-        got = (*psa.attention(q, k, v, 2, weights), weights)
-        wants = oracles.attention_tile_steps(q, k, v, 2)
-        assert not np.isnan(wants[0]).all() and np.isnan(wants[1]).any()
-        for have, want in zip(got, wants):
-            nan = np.isnan(want)
-            assert np.array_equal(np.isnan(have), nan)
-            assert have[~nan].tobytes() == want[~nan].tobytes()
+        first = (0,) * len(lead)
+        # (operand, row, column, value): a query, a key of head 1, a key of head 0
+        for which, row, col, value in ((0, 5, 3, np.nan), (1, 2, 6, np.nan), (1, 7, 1, np.inf)):
+            q, k, v = (a.copy() for a in clean)
+            (q, k)[which][first + (row, col)] = value
+            wants = oracles.attention_tile_steps(q, k, v, 2)
+            assert not np.isnan(wants[0]).all() and np.isnan(wants[1]).any()
+            for runner in (contextlib.nullcontext, shared_units):
+                weights = ops.attention_weights_buffer(q, k, 2)
+                with runner(), mock.patch.object(ops._AttentionUnits, "run", autospec=True,
+                                                 side_effect=ops._AttentionUnits.run) as run:
+                    got = (*psa.attention(q, k, v, 2, weights), weights)
+                assert run.called == (runner is shared_units)
+                for have, want in zip(got, wants):
+                    nan = np.isnan(want)
+                    assert np.array_equal(np.isnan(have), nan)
+                    assert have[~nan].tobytes() == want[~nan].tobytes()
 
     def test_weights_buffer_shape_checked(self):
         with pytest.raises(DimensionError):

@@ -95,6 +95,24 @@ class TestNonFiniteInputs:
             psa.psa_forward(np.stack([xs, xs]), np.stack([us, us_bad]), p.psa, cfg.psa)
 
 
+    @pytest.mark.parametrize("name", ["in_conv_x", "in_conv_u", "bn_x.gamma", "bn_u.beta"])
+    def test_non_finite_input_projection_raises_at_the_attention_entry(self, name):
+        """A NaN in an input projection or its normalization passes the
+        block's own input check and reaches the two maps it hands to
+        ``psa.psa_forward``, whose check of them (``psa._check_pair``) is
+        the one that raises. Debug checks are off, so no op-output check
+        stands in for it."""
+        ops.set_debug_checks(False)
+        rng = np.random.default_rng(71)
+        cfg = small_cfg(k=2, fine_enabled=True)
+        p = blk.PstParams.create(cfg, rng, np.float32)
+        x, u = make_inputs(rng, cfg, dtype=np.float32)
+        named_arrays(p, include_buffers=False)[name].reshape(-1)[1] = np.nan
+        for fine, coarse in ((x, u), (np.stack([x, x]), np.stack([u, u]))):
+            with pytest.raises(NumericError, match="non-finite"):
+                blk.pst_forward(fine, coarse, p, cfg)
+
+
 class TestComposition:
     @pytest.mark.parametrize("fine_enabled", [False, True])
     def test_matches_straight_line_reference(self, fine_enabled):

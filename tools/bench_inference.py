@@ -16,17 +16,22 @@ Times three operations on each of two checkouts of this repository:
 Each round runs one fresh worker process per checkout, in alternating order,
 so that a slow stretch of the host falls on both. A worker imports ``pst``
 from its checkout's ``src``, warms up, and times ``--images`` neck images and
-``--slices`` slices of each kind with ``pst.bench.benchmark``. The record
-pools every round's samples per checkout into median, p10 and p90, counts
-the rounds in which the change's median was the lower, and names the
-machine and each checkout's commit (``pst.bench.machine_info`` and
-``source_commit``).
+``--slices`` slices of each kind with ``pst.bench.benchmark``. It also counts
+the calls one neck image makes under ``sys.setprofile`` (``call_counts``):
+into Python functions of the checkout's ``pst`` package, into all Python
+functions, and into C functions. The counts do not depend on the host's
+load, so they back a timing claim on a noisy host; the record keeps each
+round's. The record pools every round's samples per checkout into median,
+p10 and p90, counts the rounds in which the change's median was the lower,
+and names the machine and each checkout's commit (``pst.bench.machine_info``
+and ``source_commit``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -35,11 +40,35 @@ from pathlib import Path
 OPERATIONS = ("neck_image", "eval_slice", "eval_slice_refined")
 
 
-def worker(seed: int, images: int, slices: int) -> dict:
-    """Samples (ns) of both operations with the ``pst`` on ``sys.path``."""
+def call_counts(fn, package_dir: str) -> dict:
+    """Calls one ``fn()`` makes, as ``sys.setprofile`` reports them:
+    ``pst`` into Python functions defined under ``package_dir``, ``python``
+    into all Python functions, ``c`` into C functions."""
+    counts = {"pst": 0, "python": 0, "c": 0}
+    inside = os.path.join(package_dir, "")
+
+    def profile(frame, event, arg):
+        if event == "call":
+            counts["python"] += 1
+            if frame.f_code.co_filename.startswith(inside):
+                counts["pst"] += 1
+        elif event == "c_call":
+            counts["c"] += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return counts
+
+
+def neck_image_op(seed: int):
+    """The ``neck_image`` operation: each call runs the next image of the
+    seed's pool through the backbone and the refined neck."""
     import numpy as np
 
-    from pst import bench, networks
+    from pst import networks
     from pst.psa import PsaConfig
 
     rng = np.random.default_rng([seed, 0])
@@ -57,6 +86,16 @@ def worker(seed: int, images: int, slices: int) -> dict:
         cursor[0] += 1
         networks.det_neck_forward(networks.backbone_forward(image, backbone), neck, neck_cfg)
 
+    return neck_image
+
+
+def worker(seed: int, images: int, slices: int) -> dict:
+    """Samples (ns) of every operation, and the calls of one neck image,
+    with the ``pst`` on ``sys.path``."""
+    import pst
+    from pst import bench, networks
+
+    neck_image = neck_image_op(seed)
     cls_cfg = networks.default_cls_config(4)
     params = networks.init_train_state(cls_cfg, seed).params
     batch, labels = networks.synth_dataset(seed, networks.EVAL_SLICE, 4)
@@ -73,8 +112,9 @@ def worker(seed: int, images: int, slices: int) -> dict:
              "eval_slice": bench.benchmark(eval_slice, repeats=slices, warmup=5),
              "eval_slice_refined": bench.benchmark(eval_slice_refined, repeats=slices,
                                                    warmup=5)}
+    calls = call_counts(neck_image, os.path.dirname(pst.__file__))
     return {"samples_ns": {k: s.samples_ns.tolist() for k, s in stats.items()},
-            "machine": bench.machine_info(), **bench.source_commit()}
+            "calls": calls, "machine": bench.machine_info(), **bench.source_commit()}
 
 
 def run_worker(checkout: Path, seed: int, images: int, slices: int) -> dict:
@@ -110,6 +150,7 @@ def main(argv=None) -> int:
 
     sides = {"before": args.before.resolve(), "after": args.after.resolve()}
     pooled = {side: {op: [] for op in OPERATIONS} for side in sides}
+    calls = {side: [] for side in sides}
     medians = {side: {op: [] for op in OPERATIONS} for side in sides}
     meta = {}
     for r in range(args.rounds):
@@ -117,6 +158,7 @@ def main(argv=None) -> int:
         for side in order:
             result = run_worker(sides[side], args.seed + r, args.images, args.slices)
             meta[side] = {k: result[k] for k in ("machine", "commit", "commit_modified")}
+            calls[side].append(result["calls"])
             for op in OPERATIONS:
                 pooled[side][op] += result["samples_ns"][op]
                 medians[side][op].append(float(np.median(result["samples_ns"][op])) / 1e6)
@@ -131,11 +173,15 @@ def main(argv=None) -> int:
             "eval_slice_refined": "evaluate_accuracy over one slice of 64 images, "
                                   "default classifier, refinement on (k=8)",
         },
+        "neck_image_calls": "calls one neck image makes under sys.setprofile, one entry "
+                            "per round: into the checkout's pst functions, into all "
+                            "Python functions, into C functions",
         "rounds": args.rounds, "images_per_round": args.images,
         "slices_per_round": args.slices, "first_seed": args.seed,
     }
     for side in sides:
-        record[side] = {**meta[side], **{op: summary(pooled[side][op]) for op in OPERATIONS}}
+        record[side] = {**meta[side], **{op: summary(pooled[side][op]) for op in OPERATIONS},
+                        "neck_image_calls": calls[side]}
     record["after_faster_rounds"] = {
         op: sum(a < b for a, b in zip(medians["after"][op], medians["before"][op]))
         for op in OPERATIONS}
