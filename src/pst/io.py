@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import shutil
 import stat
 import struct
@@ -143,14 +144,21 @@ def save_checkpoint(directory, params) -> dict:
     return manifest
 
 
-def _tensor_path(root: Path, name: str, filename) -> Path:
-    """The file a manifest entry names: the one a save writes for ``name``,
-    a plain file directly inside ``root``."""
-    path = root / _file_for(name)
-    if filename != path.name or path.is_symlink() or not path.is_file():
+def _entry_bytes(root: str, name: str, filename) -> bytes:
+    """The bytes of the file a manifest entry names: the one a save writes
+    for ``name``, a plain file directly inside ``root``. One ``lstat``
+    rejects a symlink, a directory or a FIFO before anything is opened."""
+    expected = _file_for(name)
+    path = os.path.join(root, expected)
+    try:
+        plain = filename == expected and stat.S_ISREG(os.lstat(path).st_mode)
+    except OSError:
+        plain = False
+    if not plain:
         raise FormatError(
-            f"manifest entry {name!r} names {filename!r}, not the plain file {path.name!r} in {root}")
-    return path
+            f"manifest entry {name!r} names {filename!r}, not the plain file {expected!r} in {root}")
+    with open(path, "rb") as f:
+        return f.read()
 
 
 def load_checkpoint(directory, params) -> None:
@@ -159,8 +167,9 @@ def load_checkpoint(directory, params) -> None:
     A manifest that is not a JSON object raises :class:`FormatError`, and so
     does one whose format is not ``PSTT`` or whose version is not the
     integer 1, and an entry other than the file a save writes for its name,
-    as a plain file directly inside the directory (a path, a symlink,
-    another tensor's file or a non-string).
+    as a plain file directly inside the directory (a path, a symlink, a
+    directory, a FIFO, another tensor's file or a non-string). Each file is
+    reached by one ``lstat`` and one ``open``.
     """
     root = Path(directory)
     manifest_path = root / MANIFEST_NAME
@@ -186,7 +195,8 @@ def load_checkpoint(directory, params) -> None:
     if missing or extra:
         raise DimensionError(
             f"checkpoint does not match the parameter tree: missing {missing}, extra {extra}")
-    values = {name: load_tensor(_tensor_path(root, name, filename))
+    folder = str(root)
+    values = {name: tensor_from_bytes(_entry_bytes(folder, name, filename))
               for name, filename in entries.items()}
     assign_arrays(params, values)
 

@@ -519,7 +519,8 @@ def psa_forward(x, u, p: PsaParams, cfg: PsaConfig, *,
     every sample. ``diagnostics``, when given, is one dict for a bare map or
     a list with one dict or None per sample of a stack; each dict receives
     its sample's attention weights, key scores, and selection. A non-finite
-    value in any map raises :class:`NumericError`.
+    value in any map raises :class:`NumericError`, and so does one in the
+    output, which a non-finite parameter gives.
 
     Each map is dropped as soon as its tokens exist, so a map its caller
     passed as a temporary (the normalized maps of
@@ -533,8 +534,10 @@ def psa_forward(x, u, p: PsaParams, cfg: PsaConfig, *,
         del x
         tokens = [*project_qkv(x_tokens, ad.map_to_tokens(u), p), x_tokens]
         del u, x_tokens
-        return ad.tokens_to_map(_psa_tail(tokens, p, p, cfg, (h, w),
-                                          bn_mode, stat_sink, diagnostics), h, w)
+        out = ad.tokens_to_map(_psa_tail(tokens, p, p, cfg, (h, w),
+                                         bn_mode, stat_sink, diagnostics), h, w)
+    ops.require_finite(_val(out))
+    return out
 
 
 def psa_stack_forward(x_map, u_map, params: list[PsaParams], cfg: PsaConfig, *,

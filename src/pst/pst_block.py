@@ -113,7 +113,9 @@ def pst_forward(x, u, p: PstParams, cfg: PstConfig, *,
     Returns the [..., 2 * token_dim, H, W] stack. Every normalization site
     gathers statistics across the batch. ``diagnostics`` is passed to
     :func:`pst.psa.psa_forward`. A non-finite input raises
-    :class:`NumericError`.
+    :class:`NumericError`, and so does a non-finite output, which a
+    non-finite parameter gives (the attention output is checked first, by
+    :func:`pst.psa.psa_forward`).
     """
     if cfg.psa.stack_depth != 1:
         raise ContractError("the fusion block runs a single attention stage; "
@@ -144,7 +146,9 @@ def pst_forward(x, u, p: PstParams, cfg: PstConfig, *,
         m = ad.add(m, refined, in_place=True)
         del refined
         m = ad.concat_channels(x, m)
-        return conv_norm(m, p.end_conv, p.bn_end, bn_mode, stat_sink)
+        out = conv_norm(m, p.end_conv, p.bn_end, bn_mode, stat_sink)
+    ops.require_finite(ad._val(out))
+    return out
 
 
 # --- parameter accounting ------------------------------------------------------

@@ -37,10 +37,6 @@ from .errors import (
 
 _debug_checks = False
 
-# Most tap products one chunk of depthwise_conv7x7 holds: 256 KiB of float32,
-# which stays in L2 between the multiply that writes it and the reduce.
-DEPTHWISE_CHUNK = 1 << 16
-
 # The variance floor of every normalization site.
 BN_EPS = 1e-5
 
@@ -66,7 +62,7 @@ def require_finite(*arrays: np.ndarray) -> None:
     """Raise :class:`NumericError` unless every array holds only finite values."""
     for a in arrays:
         if not np.isfinite(a).all():
-            raise NumericError(f"input of shape {a.shape} holds non-finite values")
+            raise NumericError(f"array of shape {a.shape} holds non-finite values")
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -122,6 +118,16 @@ def attention_weights_buffer(q: np.ndarray, k: np.ndarray, heads: int) -> np.nda
 # two threads at every numpy call costs more than the second CPU saves. A
 # fixed size, not a knob.
 ATTENTION_SHARED_UNIT_LOGITS = 1 << 16
+
+
+# Elements of each buffer a ufunc takes while a thread runs units of a
+# shared :func:`attention` call (numpy's default is 8192): 1 KiB of float32,
+# a size glibc's per-thread cache hands back as it was freed. At the
+# default, a unit's broadcast steps take 16 and 32 KiB buffers out of the
+# calling thread's large free chunks, so the split of units between the two
+# threads moved where later map-sized arrays landed in its heap. Bytes are
+# the same at either size. A fixed size, not a knob.
+ATTENTION_UFUNC_BUFFER = 256
 
 
 def _tile_rows(n: int, m: int, heads: int) -> int:
@@ -187,7 +193,8 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
     ``out``, the scores and the weights do not depend on it. Nor does the
     heap: the calling thread allocates every buffer the units write before
     it hands out the first, and frees every array of the call itself
-    (:func:`_run_shared`).
+    (:func:`_run_shared`), and each thread of a shared call runs its units
+    with small ufunc buffers (``ATTENTION_UFUNC_BUFFER``).
     """
     if (q.ndim < 2 or k.ndim != q.ndim or v.shape != k.shape or k.shape[-1] != q.shape[-1]
             or k.shape[:-2] != q.shape[:-2] or not k.shape[-2]):
@@ -330,8 +337,9 @@ class _AttentionUnits:
     by the calling thread, before any unit runs: one tile and one row vector
     per thread, the partial slots and the flush's two sums. A unit allocates
     no array; the buffers numpy takes for a broadcast step are freed within
-    that step, in the thread's own malloc arena. So the heap the call leaves
-    behind does not depend on how the units fell to the two threads."""
+    that step, in the thread's own malloc arena, and are small enough to be
+    recycled as they were (``ATTENTION_UFUNC_BUFFER``). So the calling
+    thread's heap does not depend on how the units fell to the two threads."""
 
     def __init__(self, qh, kt, vh, out_h, weights, colsum, rows: int, column_max: bool,
                  workers: int):
@@ -380,6 +388,7 @@ class _AttentionUnits:
         with lock:
             tile, row = self.scratch[self.runners]
             self.runners += 1
+        saved = np.setbufsize(ATTENTION_UFUNC_BUFFER)
         try:
             while True:
                 with lock:
@@ -405,6 +414,7 @@ class _AttentionUnits:
                         self.flushed += 1
                         lock.notify_all()
         finally:
+            np.setbufsize(saved)
             self.close()
 
 
@@ -436,24 +446,15 @@ def depthwise_conv7x7(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
     Each output element is ``((0 + p_0) + p_1) + ... + p_48``, its 49 tap
     products added in row-major kernel order, as the plain loop over taps
-    adds them. The products of a chunk of output rows are written by one
-    multiply into a C-contiguous ``[49, ...]`` block of at most
-    :data:`DEPTHWISE_CHUNK` elements (or of one row, when a row alone holds
-    more), and one reduce over the outer axis adds them. numpy reduces over
-    an outer axis one slice after another, in order; it sums pairwise only
-    when the slices are a single element. Chunks are balanced, so that
-    happens only for one 1x1 map of one channel, whose one nonzero product
-    makes any order exact.
-
-    On a wide channel axis over a small grid (C >= 32 and C > 2W), short
-    rows make those chunks slow, and one ``np.einsum`` over the
-    ``[b, H, W, 7, 7, C]`` tap view of the padded storage (see
-    :func:`_position_taps`) against the C-contiguous ``[7, 7, C]`` kernel
-    forms the output instead. The channel axis is the smallest stride of
-    all three operands, so it is einsum's inner loop, and each step adds one
-    product to one output, from +0 and in row-major tap order: the same
-    bytes. With one channel a tap axis would become the inner loop and be
-    summed apart first. The output is a channel-last view.
+    adds them. One ``np.einsum`` over the ``[b, H, 7, 7, W * C]`` tap view of
+    the channel-last padded storage (see :func:`_row_windows`), against the
+    kernel tiled once to a C-contiguous ``[7, 7, W * C]``, forms the
+    output. A whole output row is the smallest stride of all three operands,
+    so it is einsum's inner loop, and each step adds one product to each
+    output of the row, from +0 and in row-major tap order. With one channel
+    the column tap's stride ties the row's, and einsum may sum the taps
+    apart first; a zero second channel breaks the tie and is dropped after.
+    The output is a channel-last view.
     """
     _require_map("depthwise_conv7x7", x)
     *lead, c, h, w = x.shape
@@ -461,76 +462,46 @@ def depthwise_conv7x7(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
         raise DimensionError(f"depthwise kernel {kernel.shape} does not match input {x.shape}")
     if x.size == 0:
         return np.zeros(x.shape, dtype=x.dtype)
-    xp = _pad_channels_last(x)
-    if c >= 32 and c > 2 * w:
-        kernel_uvc = np.ascontiguousarray(kernel.transpose(1, 2, 0), dtype=x.dtype)
-        out = np.einsum("sijuvc,uvc->sijc", _position_taps(xp, h, w, c), kernel_uvc)
-    else:
-        out = _depthwise_chunks(xp, kernel, h, w, c)
+    cs = max(c, 2)  # channels in the storage
+    xp = _pad_channels_last(x, cs)
+    taps = np.zeros((7, 7, w, cs), dtype=x.dtype)
+    taps[..., :c] = kernel.transpose(1, 2, 0)[:, :, None]  # taps[u, v, j, ch] = kernel[ch, u, v]
+    out = np.einsum("siuvx,uvx->six", _row_windows(xp, h, 7, w * cs, cs),
+                    taps.reshape(7, 7, w * cs))
     nl = len(lead)
-    return _checked(out.reshape(*lead, h, w, c).transpose(*range(nl), nl + 2, nl, nl + 1))
+    out = out.reshape(*lead, h, w, cs)[..., :c]
+    return _checked(out.transpose(*range(nl), nl + 2, nl, nl + 1))
 
 
-def _depthwise_chunks(xp: np.ndarray, kernel: np.ndarray, h: int, w: int, c: int) -> np.ndarray:
-    """The [b, H, W * C] channel-last correlation of the padded storage
-    ``xp`` with ``kernel``, one multiply and one reduce per chunk (see
-    :func:`depthwise_conv7x7`)."""
-    b, wc = xp.shape[0], w * c
-    windows = _tap_windows(xp, h, wc, c)
-    taps = np.empty((7, 7, w, c), dtype=xp.dtype)
-    taps[...] = kernel.transpose(1, 2, 0)[:, :, None]  # taps[u, v, j, ch] = kernel[ch, u, v]
-    taps = taps.reshape(7, 7, 1, 1, wc)
-    out = np.empty((b, h, wc), dtype=xp.dtype)
-    per_row = 49 * wc
-    if h * per_row <= DEPTHWISE_CHUNK:  # groups of whole samples
-        groups, blocks = -(-b // (DEPTHWISE_CHUNK // (h * per_row))), 1
-    else:  # blocks of rows of one sample
-        groups, blocks = b, -(-h // max(1, DEPTHWISE_CHUNK // per_row))
-    s_cut = [i * b // groups for i in range(groups + 1)]
-    r_cut = [i * h // blocks for i in range(blocks + 1)]
-    prod = np.empty(per_row * -(-b // groups) * -(-h // blocks), dtype=xp.dtype)
-    for s0, s1 in zip(s_cut, s_cut[1:]):
-        for r0, r1 in zip(r_cut, r_cut[1:]):
-            p = prod[: per_row * (s1 - s0) * (r1 - r0)].reshape(7, 7, s1 - s0, r1 - r0, wc)
-            np.multiply(taps, windows[:, :, s0:s1, r0:r1], out=p)
-            np.add.reduce(p.reshape(49, s1 - s0, r1 - r0, wc), axis=0, initial=0,
-                          out=out[s0:s1, r0:r1])
-    return out
-
-
-def _pad_channels_last(x: np.ndarray) -> np.ndarray:
-    """Channel-last padded storage ``xp`` [b, H + 6, (W + 6) * C] of a
-    [..., C, H, W] stack: ``xp[s, 3 + i, (3 + j) * C + ch] = x[s, ch, i, j]``,
-    zero elsewhere, so tap (u, v) of every channel is one shifted [H, W * C]
-    window."""
+def _pad_channels_last(x: np.ndarray, cs: int) -> np.ndarray:
+    """Channel-last padded storage ``xp`` [b, H + 6, (W + 6) * cs] of a
+    [..., C, H, W] stack, ``cs >= C``: ``xp[s, 3 + i, (3 + j) * cs + ch] =
+    x[s, ch, i, j]``, zero elsewhere, so tap (u, v) of every channel is one
+    shifted [H, W * cs] window."""
     *_, c, h, w = x.shape
     b = x.size // (c * h * w)
-    xp = np.zeros((b, h + 6, (w + 6) * c), dtype=x.dtype)
-    interior = xp.reshape(b, h + 6, w + 6, c)[:, 3 : h + 3, 3 : w + 3]
+    xp = np.zeros((b, h + 6, (w + 6) * cs), dtype=x.dtype)
+    interior = xp.reshape(b, h + 6, w + 6, cs)[:, 3 : h + 3, 3 : w + 3, :c]
     interior[...] = x.reshape(b, c, h, w).transpose(0, 2, 3, 1)
     return xp
 
 
-def _position_taps(xp: np.ndarray, h: int, w: int, c: int) -> np.ndarray:
-    """Read-only view ``[b, h, w, 7, 7, c]`` of the C-contiguous padded
-    storage ``xp``: ``taps[s, i, j, u, v, ch] = xp[s, u + i, (v + j) * c + ch]``."""
-    s_sample, s_row, s_item = xp.strides
-    return as_strided(xp, shape=(xp.shape[0], h, w, 7, 7, c), writeable=False,
-                      strides=(s_sample, s_row, c * s_item, s_row, c * s_item, s_item))
-
-
-def _tap_windows(xp: np.ndarray, h: int, wc: int, c: int) -> np.ndarray:
-    """Read-only view ``[7, 7, b, h, wc]`` of the C-contiguous padded storage
-    ``xp`` [b, h + 6, wc + 6 * c]: ``windows[u, v, s, i, j] = xp[s, u + i, v * c + j]``.
+def _row_windows(xp: np.ndarray, h: int, count: int, length: int, c: int) -> np.ndarray:
+    """Read-only view ``[b, h, 7, count, length]`` of the C-contiguous padded
+    storage ``xp`` of ``c`` channels: ``win[s, i, u, k, y] = xp[s, u + i,
+    k * c + y]``, row ``u + i`` from column ``k * c`` on. ``count = 7`` with
+    ``length = W * c`` gives tap (u, v) of output row i; ``count = W`` with
+    ``length = 7 * c`` gives the seven column taps of position (i, j).
 
     Equal in shape, strides and values to
-    ``sliding_window_view(xp, (h, wc), axis=(1, 2))[:, :, ::c]`` with its
-    tap axes moved to the front, without that function's argument checks.
-    Every offset stays inside ``xp``: tap (6, 6) ends on its last element.
+    ``sliding_window_view(xp, (h, length), axis=(1, 2))[:, :, ::c]`` with its
+    row axis moved ahead of the tap axes, without that function's argument
+    checks. Every offset stays inside ``xp``: the last window ends on the
+    last element of its row.
     """
     s_sample, s_row, s_item = xp.strides
-    return as_strided(xp, shape=(7, 7, xp.shape[0], h, wc),
-                      strides=(s_row, c * s_item, s_sample, s_row, s_item), writeable=False)
+    return as_strided(xp, shape=(xp.shape[0], h, 7, count, length), writeable=False,
+                      strides=(s_sample, s_row, s_row, c * s_item, s_item))
 
 
 def depthwise_kernel_grad(x: np.ndarray, up: np.ndarray) -> np.ndarray:
@@ -541,12 +512,14 @@ def depthwise_kernel_grad(x: np.ndarray, up: np.ndarray) -> np.ndarray:
 
     On a stack of small grids (C > 2W) the product is stored channel last,
     and numpy adds each (tap, channel)'s products one position after
-    another from +0. One ``np.einsum`` over a ``[b, H, W, 7, 7, C]`` view of
-    the forward's padded storage adds them in that order without forming
-    them: its innermost loop is the channel axis, the smallest stride of
-    every operand, so each step adds ``p + acc`` for one position. Channel
-    -first products are summed pairwise over each sample's positions, and
-    keep one sum per tap.
+    another from +0. One ``np.einsum`` over the ``[b, H, 7, W, 7 * C]``
+    column-tap view of the forward's padded storage (see
+    :func:`_row_windows`), against ``up`` channel last and tiled 7 times,
+    adds them in that order without forming them: its innermost loop is a
+    row of 7 * C (column tap, channel) pairs, the smallest stride of every
+    operand, so each step adds ``p + acc`` for one position. Channel-first
+    products are summed pairwise over each sample's positions, and keep one
+    sum per tap.
     """
     *lead, c, h, w = x.shape
     if up.shape != x.shape:
@@ -555,10 +528,11 @@ def depthwise_kernel_grad(x: np.ndarray, up: np.ndarray) -> np.ndarray:
     x, up = x.astype(dtype, copy=False), up.astype(dtype, copy=False)
     if c > 2 * w and x.size:
         b = x.size // (c * h * w)
-        taps = _position_taps(_pad_channels_last(x), h, w, c)
-        up_last = np.empty((b, h, w, c), dtype=dtype)
-        up_last[...] = up.reshape(b, c, h, w).transpose(0, 2, 3, 1)
-        return np.ascontiguousarray(np.einsum("sijuvc,sijc->uvc", taps, up_last).transpose(2, 0, 1))
+        windows = _row_windows(_pad_channels_last(x, c), h, w, 7 * c, c)
+        up_rows = np.empty((b, h, w, 7, c), dtype=dtype)
+        up_rows[...] = up.reshape(b, c, h, w).transpose(0, 2, 3, 1)[:, :, :, None]
+        grad = np.einsum("siujy,sijy->uy", windows, up_rows.reshape(b, h, w, 7 * c))
+        return np.ascontiguousarray(grad.reshape(7, 7, c).transpose(2, 0, 1))
     xp = np.zeros((*lead, c, h + 6, w + 6), dtype=dtype)
     xp[..., 3 : h + 3, 3 : w + 3] = x
     up = np.ascontiguousarray(up)

@@ -15,7 +15,7 @@ from pst import bench
 from pst import networks as nets
 from pst import psa
 from pst import tensor_ops as ops
-from pst.errors import ContractError, DimensionError
+from pst.errors import ContractError, DimensionError, DivergenceError, NumericError
 from pst.params import learnable_arrays, map_arrays, named_arrays
 from test_threads import DIGEST_PLATFORM, _platform, needs_control
 
@@ -420,6 +420,18 @@ class TestTrainStep:
         peak = bench.traced_peak_mb(
             lambda: nets.train_step(images[32:], labels[32:], state, lr=0.05))
         assert peak <= 11.0
+
+    @pytest.mark.parametrize("name", ["pst.psa.cpe_kernel", "pst.end_conv"])
+    def test_non_finite_parameter_raises_divergence(self, name):
+        """A NaN weight of the fusion block fails at the block's output
+        check, and the step reports it as a divergence at its step."""
+        ops.set_debug_checks(False)
+        images, labels, state = small_train_setup(seed=11)
+        learnable_arrays(state.params)[name].reshape(-1)[0] = np.nan
+        with pytest.raises(DivergenceError) as exc:
+            nets.train_step(images[:4], labels[:4], state, lr=0.05)
+        assert isinstance(exc.value.__cause__, NumericError)
+        assert state.step == 0
 
     def test_batch_contract(self):
         images, labels, state = small_train_setup(seed=10)

@@ -112,6 +112,30 @@ class TestNonFiniteInputs:
             with pytest.raises(NumericError, match="non-finite"):
                 blk.pst_forward(fine, coarse, p, cfg)
 
+    @pytest.mark.parametrize("name", [
+        "psa.wq", "psa.wk", "psa.wv", "psa.wo", "psa.cpe_kernel", "psa.bn_out.gamma",
+        "mlp_expand", "end_conv", "bn_end.gamma"])
+    def test_non_finite_parameter_raises_at_the_output(self, name):
+        """A NaN in a weight the input checks never see turns the output
+        NaN; the output check of ``pst_forward``, and of ``psa_forward``
+        for a parameter of its own, raises instead, on a bare map and on a
+        stack. Debug checks are off, so no op-output check stands in."""
+        ops.set_debug_checks(False)
+        rng = np.random.default_rng(72)
+        cfg = small_cfg(k=2, fine_enabled=True)
+        p = blk.PstParams.create(cfg, rng, np.float32)
+        x, u = make_inputs(rng, cfg, dtype=np.float32)
+        xs = rng.standard_normal((8, 8, 8)).astype(np.float32)
+        us = rng.standard_normal((8, 4, 4)).astype(np.float32)
+        named_arrays(p, include_buffers=False)[name].reshape(-1)[1] = np.nan
+        for fine, coarse in ((x, u), (np.stack([x, x]), np.stack([u, u]))):
+            with pytest.raises(NumericError, match="non-finite"):
+                blk.pst_forward(fine, coarse, p, cfg)
+        if name.startswith("psa."):
+            for fine, coarse in ((xs, us), (np.stack([xs, xs]), np.stack([us, us]))):
+                with pytest.raises(NumericError, match="non-finite"):
+                    psa.psa_forward(fine, coarse, p.psa, cfg.psa)
+
 
 class TestComposition:
     @pytest.mark.parametrize("fine_enabled", [False, True])

@@ -271,31 +271,35 @@ class TestDepthwiseConv7x7:
 
     @given(st.sampled_from([np.float32, np.float64]),
            st.lists(st.integers(1, 3), max_size=2),
-           st.integers(1, 40), st.integers(1, 24), st.integers(1, 24), st.integers(0, 2**32 - 1))
-    # Around the chunk of 2**16 products: C*H*W = 1337 is the largest sample
-    # one chunk holds, 668 the largest that two hold; a one-column map of
-    # 1338 rows splits into row blocks, and W*C = 1400 rows each exceed a chunk.
-    @example(np.float32, [], 1, 1337, 1, 0)
-    @example(np.float32, [], 1, 1338, 1, 0)
-    @example(np.float64, [2], 1, 1339, 1, 1)
-    @example(np.float64, [1337], 1, 1, 1, 2)
-    @example(np.float32, [1338], 1, 1, 1, 3)
-    @example(np.float64, [3], 4, 167, 1, 4)
-    @example(np.float32, [3], 4, 167, 2, 5)
-    @example(np.float32, [2], 2, 3, 700, 6)
-    @example(np.float64, [2, 2], 1, 1, 1, 7)
-    # The einsum form (C >= 32 and C > 2W): the stacks of training and
-    # evaluation, the neck's maps, and both sides of each bound of the gate.
-    @example(np.float32, [64], 32, 4, 4, 8)
-    @example(np.float32, [32], 64, 8, 8, 9)
-    @example(np.float32, [], 32, 4, 4, 10)
-    @example(np.float32, [], 16, 8, 8, 11)
-    @example(np.float64, [2], 33, 3, 16, 12)
-    @example(np.float32, [2], 32, 3, 16, 13)
-    @example(np.float64, [3], 31, 5, 2, 14)
-    def test_bytes_equal_49_tap_formula_property(self, dtype, lead, c, h, w, seed):
+           st.integers(1, 40), st.integers(1, 24), st.integers(1, 24), st.integers(0, 2**32 - 1),
+           st.booleans())
+    # Few channels: one channel, where the column tap's stride ties the
+    # row's (tall one-column maps, stacks of 1x1 maps, a lone 1x1 map), and
+    # two to four channels over one or two columns or along long rows.
+    @example(np.float32, [], 1, 1337, 1, 0, False)
+    @example(np.float32, [], 1, 1338, 1, 0, False)
+    @example(np.float64, [2], 1, 1339, 1, 1, False)
+    @example(np.float64, [1337], 1, 1, 1, 2, False)
+    @example(np.float32, [1338], 1, 1, 1, 3, False)
+    @example(np.float64, [3], 4, 167, 1, 4, False)
+    @example(np.float32, [3], 4, 167, 2, 5, False)
+    @example(np.float32, [2], 2, 3, 700, 6, False)
+    @example(np.float64, [2, 2], 1, 1, 1, 7, False)
+    @example(np.float32, [], 1, 7, 1, 15, False)  # W * C = 1
+    # Wide channels over small grids: the stacks of training and
+    # evaluation, the neck's maps, and odd channel counts.
+    @example(np.float32, [64], 32, 4, 4, 8, False)
+    @example(np.float32, [32], 64, 8, 8, 9, False)
+    @example(np.float32, [], 32, 4, 4, 10, False)
+    @example(np.float32, [], 16, 8, 8, 11, False)
+    @example(np.float64, [2], 33, 3, 16, 12, False)
+    @example(np.float32, [2], 32, 3, 16, 13, False)
+    @example(np.float64, [3], 31, 5, 2, 14, False)
+    # The adjoint's kernel, turned by 180 degrees (negative strides).
+    @example(np.float32, [32], 32, 4, 4, 16, True)
+    def test_bytes_equal_49_tap_formula_property(self, dtype, lead, c, h, w, seed, turned):
         """Any stack of maps, with +0.0 and -0.0 among the inputs and zero
-        taps, gives the oracle's bytes."""
+        taps, gives the oracle's bytes; so does a turned kernel view."""
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((*lead, c, h, w)).astype(dtype)
         u = rng.random(x.shape)
@@ -303,6 +307,8 @@ class TestDepthwiseConv7x7:
         x[u > 0.9] = -0.0
         k = rng.standard_normal((c, 7, 7)).astype(dtype)
         k[rng.random(k.shape) < 0.1] = 0.0
+        if turned:
+            k = k[:, ::-1, ::-1]
         got = ops.depthwise_conv7x7(x, k)
         expected = oracles.depthwise_49_taps(x, k)
         assert got.shape == expected.shape and got.dtype == expected.dtype
@@ -324,16 +330,15 @@ class TestDepthwiseConv7x7:
         got = ops.depthwise_conv7x7(np.zeros(shape, dtype), np.ones((shape[-3], 7, 7), dtype))
         assert got.shape == shape and got.dtype == dtype
 
-    def test_memory_is_padded_copy_output_and_one_chunk(self):
-        """At [64, 64, 64] a chunk is one row of 49 * W * C products; the
-        tiled taps take as much again. No [49, ...] block of the whole map
-        is ever held."""
+    def test_memory_is_padded_copy_output_and_tiled_taps(self):
+        """At [64, 64, 64] the call holds the padded copy, the output and
+        the kernel tiled to [7, 7, W * C], and nothing the size of a
+        [49, ...] product block."""
         c = h = w = 64
         x = np.random.default_rng(12).standard_normal((c, h, w)).astype(np.float32)
         k = np.random.default_rng(13).standard_normal((c, 7, 7)).astype(np.float32)
         item = x.itemsize
-        chunk = max(ops.DEPTHWISE_CHUNK, 49 * w * c) * item
-        bound = c * (h + 6) * (w + 6) * item + x.nbytes + 2 * chunk + 64 * 1024
+        bound = (c * (h + 6) * (w + 6) + x.size + 49 * w * c) * item + 64 * 1024
         ops.set_debug_checks(False)  # its finiteness mask is not the kernel's
         ops.depthwise_conv7x7(x, k)
         tracemalloc.start()
@@ -350,15 +355,18 @@ class TestDepthwiseConv7x7:
 
     @given(b=st.integers(1, 3), h=st.integers(1, 12), w=st.integers(1, 12), c=st.integers(1, 6),
            dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**16))
-    def test_tap_windows_equal_sliding_window_view(self, b, h, w, c, dtype, seed):
-        """The window view is the one ``sliding_window_view`` builds: same
-        shape, strides and values, and read-only."""
+    def test_row_windows_equal_sliding_window_view(self, b, h, w, c, dtype, seed):
+        """The forward's [b, H, 7, 7, W * C] tap view and the gradient's
+        [b, H, 7, W, 7 * C] view are the ones ``sliding_window_view``
+        builds: same shape, strides and values, and read-only."""
         xp = np.random.default_rng(seed).standard_normal((b, h + 6, (w + 6) * c)).astype(dtype)
-        got = ops._tap_windows(xp, h, w * c, c)
-        want = sliding_window_view(xp, (h, w * c), axis=(1, 2))[:, :, ::c].transpose(1, 2, 0, 3, 4)
-        assert (got.shape, got.strides) == (want.shape, want.strides)
-        assert np.array_equal(got, want)
-        assert not got.flags.writeable
+        for count, length in ((7, w * c), (w, 7 * c)):
+            got = ops._row_windows(xp, h, count, length, c)
+            want = sliding_window_view(xp, (h, length), axis=(1, 2))[:, :, ::c]
+            want = want.transpose(0, 3, 1, 2, 4)
+            assert (got.shape, got.strides) == (want.shape, want.strides)
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable
 
 
 class TestDepthwiseKernelGrad:
@@ -372,7 +380,7 @@ class TestDepthwiseKernelGrad:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", [
-        (32, 32, 4, 4), (2, 64, 8, 8), (40, 8, 3), (3, 9, 2, 2), (4, 5, 1, 1),
+        (32, 32, 4, 4), (64, 32, 4, 4), (2, 64, 8, 8), (40, 8, 3), (3, 9, 2, 2), (4, 5, 1, 1),
         (5, 9, 11), (2, 3, 16, 16), (3, 1, 1, 1), (2, 2, 1, 1), (1, 4, 2, 2)])
     def test_bytes_equal_per_tap_sums(self, dtype, shape):
         """Channel-last stacks of small grids (C > 2W) and channel-first maps

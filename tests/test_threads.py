@@ -213,6 +213,36 @@ def test_every_array_of_a_shared_call_is_freed_on_the_calling_thread():
     assert freed == [caller] * 3
 
 
+@needs_control
+def test_shared_units_run_with_small_ufunc_buffers_restored_after():
+    """Both threads of a shared call run their units with
+    ``ATTENTION_UFUNC_BUFFER``-element ufunc buffers and restore their own
+    size afterwards, also on an error; an inline call keeps numpy's."""
+    q, k, v = _attention_inputs(11, (), 64, 16, 2, 2, np.float32)
+    default = np.getbufsize()
+    sizes = {}
+    real_exp = np.exp
+
+    def exp(x, out=None):
+        sizes.setdefault(threading.current_thread(), set()).add(np.getbufsize())
+        time.sleep(0.002)
+        return real_exp(x, out=out)
+
+    with mock.patch.object(ops, "ATTENTION_TILE_LOGITS", 64), mock.patch.object(np, "exp", exp):
+        _core(q, k, v, 2)
+        assert list(sizes.values()) == [{default}]
+        sizes.clear()
+        with shared_units():
+            _core(q, k, v, 2)
+            assert len(sizes) == 2
+            assert all(s == {ops.ATTENTION_UFUNC_BUFFER} for s in sizes.values())
+            with mock.patch.object(ops, "_attention_unit", side_effect=RuntimeError("unit")):
+                with pytest.raises(RuntimeError):
+                    _core(q, k, v, 2)
+            assert threads.pool().submit(np.getbufsize).result(JOIN_TIMEOUT_S) == default
+    assert np.getbufsize() == default
+
+
 def _advice() -> bool:
     """numpy's huge-page advice now, read through its switch."""
     switch = threads.page_advice()
