@@ -307,12 +307,13 @@ def attention(q, k, v, heads: int, weights: Optional[np.ndarray] = None):
     return tape._emit("attention", (q, k, v), out, bwd), scores
 
 
-def _non_channel_axes(x: np.ndarray) -> tuple[int, ...]:
-    """Every axis of a [..., C, H, W] map but its channel axis."""
-    return tuple(i for i in range(x.ndim) if i != x.ndim - 3)
-
-
 def conv1x1(x, w):
+    """Pointwise convolution; see :func:`pst.tensor_ops.conv1x1`. The weight
+    gradient is one ``np.matmul`` per sample, ``[C_out, H*W] @ [H*W, C_in]``
+    of ``up`` against the input read transposed in place, summed over
+    samples in order, so no operand is copied. BLAS groups the sums as it
+    chooses; ``tests/test_training_bound.py`` bounds them against
+    float64."""
     if type(x) is not Var and type(w) is not Var:
         return ops.conv1x1(x, w)
     xv, wv = _val(x), _val(w)
@@ -320,12 +321,12 @@ def conv1x1(x, w):
     tape = _tape_of(x, w)
 
     weight = wv if isinstance(x, Var) else None
-    inputs = xv if isinstance(w, Var) else None
-    axes = _non_channel_axes(xv)
+    inputs = ops.channel_view(xv, xv.ndim - 3) if isinstance(w, Var) else None
 
     def bwd(up):
         gx = None if weight is None else ops.conv1x1(up, weight.T)
-        gw = None if inputs is None else np.tensordot(up, inputs, axes=(axes, axes))
+        gw = None if inputs is None else np.matmul(
+            ops.channel_view(up, up.ndim - 3), inputs.swapaxes(-1, -2)).sum(axis=0)
         return gx, gw
 
     return tape._emit("conv1x1", (x, w), out, bwd)
@@ -375,27 +376,24 @@ def batch_norm(x, gamma, beta, running_mean, running_var, *,
         xv, gv, bv, running_mean, running_var, mode, channel_axis, eps, momentum,
         keep_xhat=True, in_place=in_place)
 
-    pshape = inv.shape
-    sample = ops._sample_shape(xv, channel_axis)
-    reduce_axes = tuple(i for i in range(xv.ndim) if i != channel_axis)
-    rows = xv.size // xv.shape[channel_axis]
+    spread = ops.per_channel(xv, channel_axis)
+    pshape = (-1,) + (1,) * (xv.ndim - channel_axis - 1)
+    rows = math.prod(xv.shape[:channel_axis] + xv.shape[channel_axis + 1:])
     gamma_v = gv if isinstance(x, Var) else None
     gamma_var, beta_var = isinstance(gamma, Var), isinstance(beta, Var)
 
     def bwd(up):
-        g_beta = up.sum(axis=reduce_axes)
-        g_gamma = (up * xhat).sum(axis=reduce_axes)
+        # Both sums are one einsum over [outer, C, inner] views, as the
+        # forward's statistics are (see tensor_ops.channel_stats).
+        ups = ops.channel_view(up, channel_axis)
+        g_beta = np.einsum("oci->c", ups)
+        g_gamma = np.einsum("oci,oci->c", ups, ops.channel_view(xhat, channel_axis))
         gx = None
         if gamma_v is not None:
-            scale = inv.reshape(-1) * gamma_v
+            scale = inv * gamma_v
             if mode == "train":
-                # Per-channel terms spread over a sample as the forward's
-                # are (see tensor_ops._batch_norm): the same bytes in longer
-                # loops, each step into gx, whose layout is xhat's.
-                def spread(p):
-                    return p.reshape(pshape) if sample is None else ops._spread(p, pshape, sample)
-
-                # up - mean(up) - xhat * mean(up * xhat), per channel.
+                # up - mean(up) - xhat * mean(up * xhat), per channel, each
+                # step into gx, whose layout is xhat's.
                 gx = xhat * spread(g_gamma / rows)
                 np.subtract(up, gx, out=gx)
                 gx -= spread(g_beta / rows)

@@ -13,7 +13,8 @@ same bytes as the sample on its own; batch normalization in train mode is
 the one op that mixes samples, through its statistics.
 
 Operations do not mutate their inputs, except a buffer the caller hands
-over to be written (``silu``'s ``out``, ``_batch_norm``'s ``in_place``);
+over to be written (``silu``'s and ``channel_stats``'s ``out``,
+``_batch_norm``'s ``in_place``);
 batch normalization returns updated running statistics instead of writing
 them in place. Computation happens in the dtype of the inputs (float32 or
 float64).
@@ -544,22 +545,35 @@ def depthwise_kernel_grad(x: np.ndarray, up: np.ndarray) -> np.ndarray:
     return grad
 
 
-def _sample_shape(x: np.ndarray, channel_axis: int) -> tuple | None:
-    """The shape of one sample of ``x`` when it is a C-contiguous stack of
-    two or more, else None: the channel axis and every axis after it, and
-    at least the last two (``[C, H, W]`` for maps, ``[N, d]`` for tokens)."""
+def per_channel(x: np.ndarray, channel_axis: int):
+    """How a per-channel ``[C]`` array enters an elementwise step with
+    ``x``: a function of it. On a C-contiguous stack of two or more samples
+    (a sample is the channel axis and every axis after it, and at least the
+    last two: ``[C, H, W]`` for maps, ``[N, d]`` for tokens) it is written
+    out over one sample, so that the step runs one loop per sample rather
+    than one per channel row of 16 to 64 elements; otherwise it is the
+    ``[C, 1, ...]`` broadcast. Each element meets the same value either
+    way."""
+    pshape = (x.shape[channel_axis],) + (1,) * (x.ndim - channel_axis - 1)
     lead = min(channel_axis, x.ndim - 2)
     if lead < 1 or math.prod(x.shape[:lead]) < 2 or not x.flags.c_contiguous:
-        return None
-    return x.shape[lead:]
+        return lambda p: p.reshape(pshape)
+    sample = x.shape[lead:]
+
+    def spread(p):
+        out = np.empty(sample, dtype=p.dtype)
+        out[...] = p.reshape(pshape)
+        return out
+
+    return spread
 
 
-def _spread(p: np.ndarray, pshape: tuple, sample: tuple) -> np.ndarray:
-    """The per-channel ``p``, of broadcast shape ``pshape``, written out
-    over one whole ``sample`` of the stack."""
-    out = np.empty(sample, dtype=p.dtype)
-    out[...] = p.reshape(pshape[len(pshape) - len(sample):])
-    return out
+def channel_view(x: np.ndarray, channel_axis: int) -> np.ndarray:
+    """``x`` as ``[outer, C, inner]``: the axes before the channel axis, the
+    channel axis, the axes after it (``[B, C, H*W]`` for a map stack,
+    ``[B*N, C, 1]`` for tokens). A view when ``x`` is C-contiguous."""
+    return x.reshape(math.prod(x.shape[:channel_axis]), x.shape[channel_axis],
+                     math.prod(x.shape[channel_axis + 1:]))
 
 
 def _check_norm_state(channels: int, gamma, beta, running_mean, running_var) -> None:
@@ -594,17 +608,9 @@ def channel_affine(x: np.ndarray, scale: np.ndarray, shift: np.ndarray | None,
     """``x * scale + shift`` with a per-channel ``scale`` and ``shift`` (or
     none) along ``channel_axis``: an infer-mode normalization site as
     :func:`fold_batch_norm` gives it, in two passes where
-    :func:`_batch_norm` takes four. On a stack (:func:`_sample_shape`) each
-    operand is first written out over one sample, so that each step runs one
-    loop per sample rather than one per channel row; each element meets the
-    same values either way."""
-    channel_axis %= x.ndim
-    pshape = scale.shape + (1,) * (x.ndim - channel_axis - 1)
-    sample = _sample_shape(x, channel_axis)
-
-    def spread(p):
-        return p.reshape(pshape) if sample is None else _spread(p, pshape, sample)
-
+    :func:`_batch_norm` takes four, each operand entering as
+    :func:`per_channel` gives it."""
+    spread = per_channel(x, channel_axis % x.ndim)
     y = np.multiply(x, spread(scale), out=out)
     if shift is not None:
         y += spread(shift)
@@ -619,86 +625,69 @@ def _batch_norm(x, gamma, beta, running_mean, running_var, mode, channel_axis, e
     Train mode normalizes with batch statistics taken over every non-channel
     axis (biased variance, see :func:`channel_stats`) and returns running
     statistics advanced by ``momentum``; infer mode normalizes with the
-    running statistics and returns them unchanged. ``kept`` is ``(xhat,
-    inv)`` when ``keep_xhat``, None otherwise: the standardized input
-    ``(x - mean) * inv`` and the per-channel ``inv``, which a backward rule
-    needs; ``y = xhat * gamma + beta`` is then formed in a buffer of its own
-    instead of in x-hat's, by the same operations in the same order, so
-    ``y`` has the same bytes either way. With ``in_place`` (and not
-    ``keep_xhat``), ``y`` is formed in ``x``'s own buffer when ``x - mean``
-    has ``x``'s dtype, again by the same operations.
-
-    On a C-contiguous stack of two or more samples, ``mean``, ``inv``,
-    ``gamma`` and ``beta`` enter the four elementwise steps as operands one
-    sample in size (see :func:`_sample_shape`), so each step runs one loop
-    per sample rather than one per channel row of 16 to 64 elements. Each
-    element meets the same values in the same steps, so the bytes are those
-    of the ``[C, 1, 1]`` broadcast, which single maps keep."""
+    running statistics and returns them unchanged. Either way ``xhat =
+    centered * inv``, with ``inv = 1 / sqrt(var + eps)`` per channel, is
+    formed in the buffer of the centered input ``x - mean`` (in train mode
+    the one :func:`channel_stats` made for the variance, so the mean is
+    subtracted once), and ``y = xhat * gamma + beta``. ``kept`` is ``(xhat,
+    inv)`` when ``keep_xhat``, None otherwise: what a backward rule needs;
+    ``y`` is then formed in a buffer of its own instead of in x-hat's, by
+    the same operations in the same order, so ``y`` has the same bytes
+    either way. With ``in_place`` (and not ``keep_xhat``), the centered
+    input and ``y`` are formed in ``x``'s own buffer when ``x - mean`` has
+    ``x``'s dtype, again by the same operations. Per-channel operands enter
+    each elementwise step as :func:`per_channel` gives them."""
     if mode not in ("train", "infer"):
         raise ValueError(f"batch_norm mode must be 'train' or 'infer', got {mode!r}")
     channel_axis %= x.ndim
-    channels = x.shape[channel_axis]
-    _check_norm_state(channels, gamma, beta, running_mean, running_var)
-    pshape = (1,) * channel_axis + (channels,) + (1,) * (x.ndim - channel_axis - 1)
-    sample = _sample_shape(x, channel_axis)
+    _check_norm_state(x.shape[channel_axis], gamma, beta, running_mean, running_var)
+    spread = per_channel(x, channel_axis)
+    in_place = in_place and not keep_xhat
     if mode == "train":
-        mean, var = channel_stats(x, channel_axis)
+        mean, var, centered = channel_stats(x, channel_axis, out=x if in_place else None)
         new_mean = (1.0 - momentum) * running_mean + momentum * mean
         new_var = (1.0 - momentum) * running_var + momentum * var
     else:
-        mean = running_mean
-        var = running_var
-        new_mean = running_mean
-        new_var = running_var
-    inv = 1.0 / np.sqrt(var.reshape(pshape) + eps)
-    in_place = in_place and not keep_xhat and np.result_type(x, mean) == x.dtype
-    one = sample is None
-    xhat = np.subtract(x, mean.reshape(pshape) if one else _spread(mean, pshape, sample),
-                       out=x if in_place else None)
-    xhat *= inv if one else _spread(inv, pshape, sample)
-    g = gamma.reshape(pshape) if one else _spread(gamma, pshape, sample)
-    y = xhat * g if keep_xhat else np.multiply(xhat, g, out=xhat)
-    y += beta.reshape(pshape) if one else _spread(beta, pshape, sample)
+        mean, var, new_mean, new_var = running_mean, running_var, running_mean, running_var
+        in_place = in_place and np.result_type(x, mean) == x.dtype
+        centered = np.subtract(x, spread(mean), out=x if in_place else None)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = np.multiply(centered, spread(inv), out=centered)
+    y = xhat * spread(gamma) if keep_xhat else np.multiply(xhat, spread(gamma), out=xhat)
+    y += spread(beta)
     return _checked(y), new_mean, new_var, ((xhat, inv) if keep_xhat else None)
 
 
-def channel_stats(x: np.ndarray, channel_axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-channel mean and biased variance over every other axis.
+def channel_stats(x: np.ndarray, channel_axis: int,
+                  out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-channel mean and biased variance over every other axis, and the
+    centered input: ``(mean, var, x - mean)``, the last written into
+    ``out`` when given (``x`` itself may be it).
 
-    Reduced over the channel-last rows ``[samples * positions, C]``, the
-    layout of stacked token matrices, so a map and its tokens give the same
-    bytes. The variance takes the steps of ``rows.var(axis=0)`` from the mean
-    already at hand, and gives its bytes.
-
-    When the rows are C-contiguous and hold two or more channels, both sums
-    are ``np.einsum`` over the rows (``"nc->c"``, ``"nc,nc->c"``); on a
-    stack (:func:`_sample_shape`) the mean is taken out through a
-    ``[samples, sample size]`` view against the mean tiled over a sample.
-    Like numpy's reduce over the outer axis, einsum adds the rows one after
-    another from +0, and each rounded ``dev * dev``; it only skips the ufunc
-    machinery around each row. A single map's strided rows, which numpy sums
-    pairwise, and one channel's column keep the reduce.
+    Each sum is one ``np.einsum`` over the ``[outer, C, inner]`` view of
+    :func:`channel_view`, for maps and token stacks alike: ``"oci->c"`` over
+    ``x``, then ``"oci,oci->c"`` over the centered input, each divided by
+    the count as ``np.mean`` divides. No channel-last copy and no product
+    array is formed. einsum orders and groups the additions itself, so the
+    bytes are not those of numpy's ``mean`` and ``var``: any order keeps a
+    sum of ``n`` terms within about ``n * eps`` times the sum of their
+    magnitudes, and measured errors are a few eps (``MEAN_TOL`` and
+    ``VAR_TOL`` of ``tests/test_tensor_ops.py``, and
+    ``tests/test_training_bound.py``, bound both against float64).
+    Statistics over no positions (a zero-sample stack or an empty grid)
+    are undefined and raise :class:`DimensionError`.
     """
-    channels = x.shape[channel_axis]
-    rows = np.moveaxis(x, channel_axis, -1).reshape(-1, channels)
-    n = np.intp(rows.shape[0])
-    if channels < 2 or not rows.flags.c_contiguous or not rows.size:
-        mean = rows.mean(axis=0)
-        dev = rows - mean
-        np.multiply(dev, dev, out=dev)
-        var = dev.sum(axis=0)
-    else:
-        mean = np.einsum("nc->c", rows)
-        np.true_divide(mean, n, out=mean, casting="unsafe")
-        sample = _sample_shape(x, channel_axis % x.ndim)
-        if sample is None:
-            dev = rows - mean
-        else:
-            size = math.prod(sample)
-            dev = rows.reshape(-1, size) - np.tile(mean, size // channels)
-            dev = dev.reshape(rows.shape)
-        var = np.einsum("nc,nc->c", dev, dev)
-    return mean, np.true_divide(var, n, out=var, casting="unsafe")
+    channel_axis %= x.ndim
+    view = channel_view(x, channel_axis)
+    n = view.shape[0] * view.shape[2]
+    if n == 0:
+        raise DimensionError(f"batch statistics over no positions: input of shape {x.shape}")
+    mean = np.einsum("oci->c", view)
+    np.true_divide(mean, np.intp(n), out=mean, casting="unsafe")
+    centered = np.subtract(x, per_channel(x, channel_axis)(mean), out=out)
+    dev = channel_view(centered, channel_axis)
+    var = np.einsum("oci,oci->c", dev, dev)
+    return mean, np.true_divide(var, np.intp(n), out=var, casting="unsafe"), centered
 
 
 def upsample_tokens2x(x: np.ndarray) -> np.ndarray:
@@ -821,60 +810,56 @@ def topk_indices(scores: np.ndarray, k: int, threshold: float) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function, without masked branches.
+    """The logistic function ``1 / (1 + exp(-x))``, in four passes: negate,
+    ``exp``, add one, divide one by it.
 
-    ``exp`` sees ``min(x, -x)``, so it never overflows; the minimum keeps the
-    NaN of ``x`` itself, where ``-|x|`` would flip the sign bit of a NaN.
-    The numerator ``max(e, x >= 0)`` is the select ``1 if x >= 0 else e``:
-    where ``x >= 0``, ``e = exp(-x)`` is at most 1; elsewhere ``e`` is at
-    least 0, and a NaN ``e`` wins the maximum. An array of more than
-    :data:`ACTIVATION_CHUNK` elements runs in chunks (see :func:`silu`).
+    For ``x`` below about -88.7 (float32) or -709.8 (float64), ``exp(-x)``
+    overflows to inf, and ``1 / inf`` is exactly 0, the limit; that
+    overflow is expected and runs under ``np.errstate(over="ignore")``, so
+    no input warns. NaN stays NaN, and ``+-inf`` gives 1 and 0. The steps
+    are those of ``oracles.sigmoid_steps`` in ``tests/``, which gives the
+    same bytes. An array of more than :data:`ACTIVATION_CHUNK` elements runs
+    in chunks (see :func:`silu`).
     """
-    if x.size > ACTIVATION_CHUNK:
-        return _checked(_by_chunks(x, np.empty_like(x), times_x=False))
-    e = np.negative(x)
-    np.minimum(x, e, out=e)
-    np.exp(e, out=e)
-    den = e + 1
-    np.maximum(e, x >= 0, out=e, dtype=x.dtype)
-    np.divide(e, den, out=e)
-    return _checked(e)
+    return _checked(_logistic(x, None, times_x=False))
 
 
 def silu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """x * sigmoid(x), into ``out`` when given (``x`` itself may be it).
+    """``x * sigmoid(x)`` in five passes, into ``out`` when given (``x``
+    itself may be it). At ``x = -inf`` that is ``-inf * 0``, NaN, which
+    warns as an invalid operation; no other input warns.
 
     An array of more than :data:`ACTIVATION_CHUNK` elements runs in chunks
     of at most that many, each through every step before the next, so that
     no temporary is larger than a chunk; each element takes the same steps,
     and so has the same bytes, either way.
     """
-    if x.size > ACTIVATION_CHUNK:
-        return _checked(_by_chunks(x, np.empty_like(x) if out is None else out, times_x=True))
-    s = sigmoid(x)
-    return _checked(np.multiply(x, s, out=s if out is None else out))
+    return _checked(_logistic(x, out, times_x=True))
 
 
-def _by_chunks(x: np.ndarray, out: np.ndarray, times_x: bool) -> np.ndarray:
+def _logistic(x: np.ndarray, out: np.ndarray | None, times_x: bool) -> np.ndarray:
     """The steps of :func:`sigmoid` over ``x``, then a product with ``x``
-    when ``times_x``, into ``out`` (which may be ``x``), one
-    :data:`ACTIVATION_CHUNK` after another through a buffered iterator; each
-    temporary holds one chunk."""
-    scratch = np.empty(ACTIVATION_CHUNK, dtype=x.dtype) if times_x else None
-    den = np.empty(ACTIVATION_CHUNK, dtype=x.dtype)
-    mask = np.empty(ACTIVATION_CHUNK, dtype=bool)
-    with np.nditer([x, out], flags=["external_loop", "buffered"],
-                   op_flags=[["readonly"], ["writeonly"]], buffersize=ACTIVATION_CHUNK) as it:
-        for xc, oc in it:
-            n = xc.shape[0]
-            e = scratch[:n] if times_x else oc
-            np.negative(xc, out=e)
-            np.minimum(xc, e, out=e)
+    when ``times_x``, into ``out`` (which may be ``x``) or a new array.
+    Over more than :data:`ACTIVATION_CHUNK` elements, one chunk after
+    another through a buffered iterator; each temporary holds one chunk."""
+    with np.errstate(over="ignore"):
+        if x.size <= ACTIVATION_CHUNK:
+            e = np.negative(x)
             np.exp(e, out=e)
-            np.add(e, 1, out=den[:n])
-            np.greater_equal(xc, 0, out=mask[:n])
-            np.maximum(e, mask[:n], out=e, dtype=x.dtype)
-            np.divide(e, den[:n], out=e)
-            if times_x:
-                np.multiply(xc, e, out=oc)
+            np.add(e, 1, out=e)
+            np.divide(1, e, out=e)
+            return np.multiply(x, e, out=e if out is None else out) if times_x else e
+        out = np.empty_like(x) if out is None else out
+        scratch = np.empty(ACTIVATION_CHUNK, dtype=x.dtype) if times_x else None
+        with np.nditer([x, out], flags=["external_loop", "buffered"],
+                       op_flags=[["readonly"], ["writeonly"]],
+                       buffersize=ACTIVATION_CHUNK) as it:
+            for xc, oc in it:
+                e = scratch[:xc.shape[0]] if times_x else oc
+                np.negative(xc, out=e)
+                np.exp(e, out=e)
+                np.add(e, 1, out=e)
+                np.divide(1, e, out=e)
+                if times_x:
+                    np.multiply(xc, e, out=oc)
     return out

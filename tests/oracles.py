@@ -170,25 +170,46 @@ def sigmoid_direct(x):
 # must reproduce, so a test can ask for equal bytes rather than closeness.
 
 
-def sigmoid_two_branch(x):
-    """``1 / (1 + exp(-x))`` where ``x >= 0``, ``exp(x) / (1 + exp(x))``
-    elsewhere (NaN included), through a boolean mask."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def sigmoid_steps(x):
+    """``1 / (1 + exp(-x))`` in ``x``'s dtype; ``exp(-x)`` overflows to inf
+    below about -88.7 (float32) or -709.8 (float64), which gives 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
-def silu_two_branch(x):
-    return x * sigmoid_two_branch(x)
+def silu_steps(x):
+    return x * sigmoid_steps(x)
 
 
-def silu_grad_direct(x, up):
+def silu_grad_steps(x, up):
     """``up * d/dx x*s(x) = up * s * (1 + x * (1 - s))``, innermost first."""
-    s = sigmoid_two_branch(x)
+    s = sigmoid_steps(x)
     return ((1.0 - s) * x + 1.0) * s * up
+
+
+def activation_inputs(dtype, size=4096, seed=0):
+    """The specials, both ends of the float range, the overflow edge of
+    ``exp(-x)`` (about -88.72 in float32, -709.78 in float64), subnormals
+    of both signs, and wide noise."""
+    info = np.finfo(dtype)
+    edge = -np.log(info.max)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, info.max, -info.max, info.tiny,
+               -info.tiny, info.smallest_subnormal, -info.smallest_subnormal,
+               3 * info.smallest_subnormal, 1e3, -1e3, 80.0, -80.0, -88.7, -88.8, -709.0, -710.0,
+               1e-30, -1e-30]
+    near = edge + np.linspace(-2, 2, 41)
+    noise = np.random.default_rng(seed).standard_normal(size) * 30
+    return np.concatenate([special, near, np.nextafter(edge, [0, -np.inf]), noise]).astype(dtype)
+
+
+def nan_blind(a):
+    """Bytes of ``a`` with every NaN made the one quiet NaN. At a NaN input,
+    silu's ``x * s`` multiplies two NaNs of opposite sign (``-x`` flipped
+    the sign that ``s`` carries), and which one the product keeps depends
+    on numpy's multiply loop."""
+    a = np.array(a)
+    a[np.isnan(a)] = np.nan
+    return a.tobytes()
 
 
 def upsample_tokens_repeat(x):
@@ -223,13 +244,17 @@ def depthwise_49_taps(x, kernel):
 
 
 def batch_norm_direct(x, gamma, beta, running_mean, running_var, up, *, mode, channel_axis,
-                      eps=1e-5, momentum=0.03):
+                      eps=1e-5, momentum=0.03, stats=None, sums=None):
     """Batch normalization and its backward rule as formulas.
 
     Returns ``(y, new_mean, new_var, gx, g_gamma, g_beta)`` for the upstream
     gradient ``up``. Train mode takes numpy's mean and biased variance over
-    the channel-last rows; ``y = ((x - mean) * inv) * gamma + beta`` with
-    ``inv = 1 / sqrt(var + eps)``.
+    the channel-last rows, or the train-mode ``(mean, var)`` given as
+    ``stats``; ``y = ((x - mean) * inv) * gamma + beta`` with ``inv = 1 /
+    sqrt(var + eps)``. ``sums``, when given, is the ``(g_gamma, g_beta)``
+    that the input gradient reads, in place of numpy's sums. With the
+    library's own statistics and sums, every remaining step is elementwise,
+    so the bytes are the library's.
     """
     c = channel_axis % x.ndim
     axes = tuple(i for i in range(x.ndim) if i != c)
@@ -237,7 +262,7 @@ def batch_norm_direct(x, gamma, beta, running_mean, running_var, up, *, mode, ch
     shape[c] = x.shape[c]
     if mode == "train":
         rows = np.moveaxis(x, c, -1).reshape(-1, x.shape[c])
-        mean, var = rows.mean(axis=0), rows.var(axis=0)
+        mean, var = (rows.mean(axis=0), rows.var(axis=0)) if stats is None else stats
         new_mean = (1.0 - momentum) * running_mean + momentum * mean
         new_var = (1.0 - momentum) * running_var + momentum * var
     else:
@@ -246,8 +271,7 @@ def batch_norm_direct(x, gamma, beta, running_mean, running_var, up, *, mode, ch
     inv = 1.0 / np.sqrt(var.reshape(shape) + eps)
     xhat = (x - mean.reshape(shape)) * inv
     y = xhat * gamma.reshape(shape) + beta.reshape(shape)
-    g_beta = up.sum(axis=axes)
-    g_gamma = (up * xhat).sum(axis=axes)
+    g_gamma, g_beta = ((up * xhat).sum(axis=axes), up.sum(axis=axes)) if sums is None else sums
     scale = inv * gamma.reshape(shape)
     if mode == "train":
         n = x.size // x.shape[c]

@@ -196,18 +196,27 @@ class TestBatchFirst:
 
     def test_evaluate_accuracy_memory_does_not_grow_with_images(self):
         """Slices of ``EVAL_SLICE`` images bound the traced peak: 512 images
-        peak about as high as 64, where one forward over all 512 peaked 8x."""
+        peak about as high as 64, where one forward over all 512 peaked 8x.
+        Each size is measured twice and the lower peak kept: a one-time
+        growth of an interpreter-wide table can land in whichever call is
+        traced first (a 1.9 MB allocation inside ``np.lib.stride_tricks.
+        as_strided`` that stayed allocated after the call, seen when the
+        whole suite ran, and gone when 100 more strings were interned
+        before it)."""
         cfg = nets.default_cls_config()
         p = nets.ClsNetParams.create(cfg, np.random.default_rng(36), np.float32)
         images, labels = nets.synth_dataset(37, 512, 4)
 
-        def peak(n):
+        def traced_peak(n):
             tracemalloc.start()
             try:
                 nets.evaluate_accuracy(images[:n], labels[:n], p, cfg)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+
+        def peak(n):
+            return min(traced_peak(n), traced_peak(n))
 
         assert nets.EVAL_SLICE == 64
         assert peak(512) < 1.25 * peak(64)
@@ -498,10 +507,9 @@ class TestTrainToy:
     @needs_control
     def test_training_bytes_equal_the_recorded_run(self):
         """The 20 losses, the parameters and running statistics after them,
-        and the logits of one evaluation slice, against digests taken before
-        the batch-norm, row-max and depthwise-gradient kernels took their
-        long-loop forms. Every op has its own byte oracle; this pins how they
-        compose over a whole training run."""
+        and the logits of one evaluation slice, against recorded digests.
+        Each elementwise op has its own byte oracle and each reduction its
+        float64 bound; this pins how they compose over a whole training run."""
         if _platform() != DIGEST_PLATFORM:
             pytest.skip("digests were recorded with another numpy, BLAS build or CPU")
         result = nets.train_toy(seed=1, steps=20)
@@ -515,13 +523,16 @@ class TestTrainToy:
 
 # SHA-256 prefixes of train_toy(seed=1, steps=20)'s losses, of its parameters
 # and buffers in tree order, and of the infer-mode logits of its first 64
-# images, on the platform of tests/test_threads.py's BLOCK_DIGESTS. The
-# logits digest was taken again when infer-mode normalizations were folded
-# into the maps before them (tests/test_fold.py bounds the folded logits
-# against the unfolded ones); training does not fold, and the losses and
-# parameters kept their digests.
-TRAIN_DIGESTS = ("3b1406339e87df85c39550e59ca97ed9", "e38de1e3c87914e15db5b42f05bee3ee",
-                 "36273b2cf2008f4a9af61e69c19ed286")
+# images, on the platform of tests/test_threads.py's BLOCK_DIGESTS. All three
+# were taken again when the batch-norm statistics and gradients and the
+# conv1x1 weight gradient became einsum and per-sample matmul sums, and SiLU
+# became ``x * (1 / (1 + exp(-x)))`` in five passes;
+# tests/test_training_bound.py bounds five such steps against float64, and
+# the SiLU steps have byte oracles (oracles.silu_steps). The logits digest
+# had been taken again once before, when infer-mode normalizations were
+# folded into the maps before them (tests/test_fold.py).
+TRAIN_DIGESTS = ("fef10b9457d682b072fea1461cd93c96", "bfc3787fd516f21ca1de6cc345ed0f26",
+                 "3cbebfc40a1ff61a2bda2bc14c7cf452")
 
 
 def _digest(*arrays) -> str:

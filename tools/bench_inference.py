@@ -3,7 +3,7 @@
     python tools/bench_inference.py --before ../parent-checkout --after . \
         --rounds 10 --out BENCH_batch_refine.json
 
-Times five operations on each of two checkouts of this repository:
+Times six operations on each of two checkouts of this repository:
 
 * ``neck_image``: one image through ``backbone_forward`` and
   ``det_neck_forward``, default neck channel plan with refinement on at
@@ -19,16 +19,19 @@ Times five operations on each of two checkouts of this repository:
 * ``restore_eval``: ``load_checkpoint`` of the last saved checkpoint into a
   second parameter bundle, made once before the clock starts, and two
   64-image ``evaluate_accuracy`` slices on it, the next 128 images of the
-  training set.
+  training set;
+* ``train_step``: one ``train_step`` of batch 32 on a training state of its
+  own, same settings and data as ``train_chunk``, without the checkpoint.
 
-The last two mirror the two kinds of timed operation of the train-toy
-workload of ``perfbench``: a training chunk and an evaluation pass.
+``train_chunk`` and ``restore_eval`` mirror the two kinds of timed operation
+of the train-toy workload of ``perfbench``: a training chunk and an
+evaluation pass; ``train_step`` is one step of a chunk alone.
 
 Each round runs one fresh worker process per checkout, in alternating order,
 so that a slow stretch of the host falls on both. A worker imports ``pst``
 from its checkout's ``src``, warms up, and times ``--images`` neck images,
-``--slices`` slices of each kind and ``--chunks`` of each training operation
-with ``pst.bench.benchmark``. It also counts
+``--slices`` slices of each kind, ``--chunks`` of each training operation
+and five times as many single steps with ``pst.bench.benchmark``. It also counts
 the calls one neck image makes under ``sys.setprofile`` (``call_counts``):
 into Python functions of the checkout's ``pst`` package, into all Python
 functions, and into C functions. The counts do not depend on the host's
@@ -50,7 +53,8 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
-OPERATIONS = ("neck_image", "eval_slice", "eval_slice_refined", "train_chunk", "restore_eval")
+OPERATIONS = ("neck_image", "eval_slice", "eval_slice_refined", "train_chunk", "restore_eval",
+              "train_step")
 
 
 def call_counts(fn, package_dir: str) -> dict:
@@ -104,17 +108,19 @@ def neck_image_op(seed: int):
 
 def training_ops(seed: int, workdir: str):
     """The ``train_chunk`` and ``restore_eval`` operations, sharing one
-    training state and one checkpoint directory in ``workdir``."""
+    training state and one checkpoint directory in ``workdir``, and the
+    ``train_step`` operation on a state of its own."""
     import numpy as np
 
     from pst import io, networks
 
     cfg = networks.default_cls_config(4)
     state = networks.init_train_state(cfg, seed)
+    step_state = networks.init_train_state(cfg, seed)
     restored = networks.ClsNetParams.create(cfg, np.random.default_rng([seed, 3]))
     images, labels = networks.synth_dataset(seed, 512, 4)
     ckpt = os.path.join(workdir, "checkpoint")
-    cursor = {"batch": 0, "eval": 0}
+    cursor = {"batch": 0, "eval": 0, "step": 0}
 
     def train_chunk():
         for _ in range(5):
@@ -131,7 +137,12 @@ def training_ops(seed: int, workdir: str):
             networks.evaluate_accuracy(images[start:start + 64], labels[start:start + 64],
                                        restored, cfg)
 
-    return train_chunk, restore_eval
+    def train_step():
+        lo = cursor["step"]
+        cursor["step"] = (lo + 32) % len(images)
+        networks.train_step(images[lo:lo + 32], labels[lo:lo + 32], step_state, 0.05, 0.9)
+
+    return train_chunk, restore_eval, train_step
 
 
 def worker(seed: int, images: int, slices: int, chunks: int) -> dict:
@@ -158,9 +169,10 @@ def worker(seed: int, images: int, slices: int, chunks: int) -> dict:
              "eval_slice_refined": bench.benchmark(eval_slice_refined, repeats=slices,
                                                    warmup=5)}
     with tempfile.TemporaryDirectory() as workdir:
-        train_chunk, restore_eval = training_ops(seed, workdir)
+        train_chunk, restore_eval, train_step = training_ops(seed, workdir)
         stats["train_chunk"] = bench.benchmark(train_chunk, repeats=chunks, warmup=3)
         stats["restore_eval"] = bench.benchmark(restore_eval, repeats=chunks, warmup=3)
+        stats["train_step"] = bench.benchmark(train_step, repeats=5 * chunks, warmup=5)
     calls = call_counts(neck_image, os.path.dirname(pst.__file__))
     return {"samples_ns": {k: s.samples_ns.tolist() for k, s in stats.items()},
             "calls": calls, "machine": bench.machine_info(), **bench.source_commit()}
@@ -227,6 +239,7 @@ def main(argv=None) -> int:
                            "and one save_checkpoint",
             "restore_eval": "load_checkpoint into a second bundle and evaluate_accuracy "
                             "over two slices of 64 images",
+            "train_step": "one train_step of batch 32 on the default classifier",
         },
         "neck_image_calls": "calls one neck image makes under sys.setprofile, one entry "
                             "per round: into the checkout's pst functions, into all "
