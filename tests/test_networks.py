@@ -196,27 +196,18 @@ class TestBatchFirst:
 
     def test_evaluate_accuracy_memory_does_not_grow_with_images(self):
         """Slices of ``EVAL_SLICE`` images bound the traced peak: 512 images
-        peak about as high as 64, where one forward over all 512 peaked 8x.
-        Each size is measured twice and the lower peak kept: a one-time
-        growth of an interpreter-wide table can land in whichever call is
-        traced first (a 1.9 MB allocation inside ``np.lib.stride_tricks.
-        as_strided`` that stayed allocated after the call, seen when the
-        whole suite ran, and gone when 100 more strings were interned
-        before it)."""
+        peak about as high as 64, where one forward over all 512 peaked 8x."""
         cfg = nets.default_cls_config()
         p = nets.ClsNetParams.create(cfg, np.random.default_rng(36), np.float32)
         images, labels = nets.synth_dataset(37, 512, 4)
 
-        def traced_peak(n):
+        def peak(n):
             tracemalloc.start()
             try:
                 nets.evaluate_accuracy(images[:n], labels[:n], p, cfg)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-
-        def peak(n):
-            return min(traced_peak(n), traced_peak(n))
 
         assert nets.EVAL_SLICE == 64
         assert peak(512) < 1.25 * peak(64)

@@ -35,9 +35,11 @@ TOL = {"mean": 64, "var": 128, "g_beta": 16, "g_gamma": 16, "gx": 64, "g_w": 16}
 # Five float32 train_steps against the same steps in float64 from the same
 # (float32) initial values, as max |a - a64| / (1 + |a64|) over the losses,
 # over every learnable parameter and over every running statistic. Measured
-# at seeds 1 to 3 at most 1.1e-7, 2.8e-7 and 3.9e-7; the numpy-order
-# reductions that these sums replaced measured 2.7e-7, 2.1e-6 and 9.9e-7.
-TRAIN_TOL = 2e-5
+# at seeds 1, 2 and 3, over all three, at most 2.4e-7, 3.9e-7 and 3.2e-7: the
+# bound is five times the largest. The numpy-order reductions that these
+# sums replaced measured 4.5e-7, 9.9e-7 and 2.1e-6, so they would fail it at
+# seed 3.
+TRAIN_TOL = 2e-6
 
 MAP_GRIDS = ((16, 16, 16), (64, 4, 4), (8, 7, 7), (5, 5, 3), (3, 9, 1))
 TOKEN_GRIDS = ((64, 32), (49, 16), (15, 7))
